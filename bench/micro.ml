@@ -1,6 +1,7 @@
 (* Bechamel microbenchmarks: B1-B4 cover per-phase cost of the strategy
-   on a fixed mid-size instance; F1-F3 cover the Tree.Flat primitives the
-   hot path is built from (path folds, batched LCA, scratch reuse);
+   on a fixed mid-size instance; F1-F4 cover the Tree.Flat primitives the
+   hot path is built from (path folds, batched LCA, scratch reuse,
+   nearest-node assignment);
    E1-E2 cover the discrete-event substrate the asynchronous simulators
    run on (pairing-heap churn, engine tick chains). Results print as
    ns/run estimated by OLS. *)
@@ -65,6 +66,7 @@ let flat_tests =
   let ix = Tree.flat_index tree in
   let lix = Tree.lca_index (Tree.rooting tree) in
   let r = Tree.rooting tree in
+  let leaves = Tree.leaves_array tree in
   let scratch = Flat.Scratch.create fl in
   Test.make_grouped ~name:"flat"
     [
@@ -130,6 +132,36 @@ let flat_tests =
                (fun nodes ->
                  acc :=
                    List.fold_left ( + ) !acc (Tree.steiner_edges tree nodes))
+               steiner_sets;
+             ignore !acc));
+      Test.make ~name:"F4 nearest node, every leaf (two-pass kernel)"
+        (Staged.stage (fun () ->
+             let acc = ref 0 in
+             Array.iter
+               (fun nodes ->
+                 Flat.iter_nearest fl scratch
+                   ~nodes:(fun mark -> List.iter mark nodes)
+                   ~targets:(fun visit -> Array.iter visit leaves)
+                   (fun _ c d -> acc := !acc + c + d))
+               steiner_sets;
+             ignore !acc));
+      Test.make ~name:"F4' nearest node, every leaf (per-pair scan)"
+        (Staged.stage (fun () ->
+             let acc = ref 0 in
+             Array.iter
+               (fun nodes ->
+                 Array.iter
+                   (fun v ->
+                     let c, d =
+                       List.fold_left
+                         (fun (bc, bd) c ->
+                           let d = Flat.distance fl v c in
+                           if d < bd || (d = bd && c < bc) then (c, d)
+                           else (bc, bd))
+                         (max_int, max_int) nodes
+                     in
+                     acc := !acc + c + d)
+                   leaves)
                steiner_sets;
              ignore !acc));
     ]
@@ -208,7 +240,7 @@ let run_group ~banner tests =
 let run () = run_group ~banner:"\n=== B1-B4: Bechamel microbenchmarks ===" tests
 
 let run_flat () =
-  run_group ~banner:"\n=== F1-F3: Tree.Flat primitive kernels ===" flat_tests
+  run_group ~banner:"\n=== F1-F4: Tree.Flat primitive kernels ===" flat_tests
 
 let run_event () =
   run_group ~banner:"\n=== E1-E2: discrete-event engine kernels ===" event_tests
@@ -243,10 +275,32 @@ let smoke_flat () =
       if List.rev !edges <> Tree.steiner_edges tree nodes then
         fail "bench/micro --smoke: steiner order mismatch")
     steiner_sets;
+  (* The Steiner node sets double as copy sets for the nearest-node
+     kernel, every node a target, against the per-pair scan over
+     [Tree.path_edges] lengths with ties to the lowest id. *)
+  let n = Tree.n tree in
+  Array.iter
+    (fun nodes ->
+      let want v =
+        List.fold_left
+          (fun best c -> min best (List.length (Tree.path_edges tree v c), c))
+          (max_int, max_int) nodes
+      in
+      Flat.iter_nearest fl scratch
+        ~nodes:(fun mark -> List.iter mark nodes)
+        ~targets:(fun visit ->
+          for v = 0 to n - 1 do
+            visit v
+          done)
+        (fun v c d ->
+          if (d, c) <> want v then
+            fail "bench/micro --smoke: nearest mismatch at node %d" v))
+    steiner_sets;
   Printf.printf
     "bench/micro --smoke: flat kernels agree with Tree on %d paths, %d \
-     steiner sets (shared scratch)\n"
+     steiner sets, %d nearest-node sets (shared scratch)\n"
     (Array.length pairs)
+    (Array.length steiner_sets)
     (Array.length steiner_sets)
 
 (* Same fast-correctness idea for the event substrate: the pairing

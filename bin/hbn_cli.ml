@@ -304,10 +304,10 @@ let place_cmd =
       (match c.Placement.bottleneck with
       | `Edge e -> Printf.sprintf "edge %d" e
       | `Bus b -> Printf.sprintf "bus %d" b);
+    let lb = Lower_bounds.combined w in
     Printf.printf "lower bound: %.3f  (certified ratio <= %.3f; proven <= 7)\n"
-      (Lower_bounds.combined w)
-      (if Lower_bounds.combined w > 0. then c.Placement.value /. Lower_bounds.combined w
-       else Float.nan);
+      lb
+      (if lb > 0. then c.Placement.value /. lb else Float.nan);
     Printf.printf "deletions: %d, clone splits: %d, tau_max: %d\n"
       res.Strategy.deletions res.Strategy.splits res.Strategy.tau_max;
     (if capacity = None then

@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 
@@ -33,11 +34,22 @@ let check_observation_3_2 w (res : Strategy.result) =
       (Ok ()) res.Strategy.copies
   in
   let* () = per_copy in
+  (* One scratch and one pair of per-edge buffers serve every object. *)
+  let tree = Workload.tree w in
+  let fl = Flat.of_tree tree in
+  let scratch = Flat.Scratch.create fl in
+  let m = max 1 (Tree.num_edges tree) in
+  let nib = Array.make m 0 and del = Array.make m 0 in
+  let object_loads (p : Placement.t) obj loads =
+    Array.fill loads 0 m 0;
+    Placement.iter_object_load_components_scratch fl scratch p.(obj)
+      (fun e _component amount -> loads.(e) <- loads.(e) + amount)
+  in
   let rec per_object obj =
     if obj >= Workload.num_objects w then Ok ()
     else begin
-      let nib = Placement.object_edge_loads w res.Strategy.nibble ~obj in
-      let del = Placement.object_edge_loads w res.Strategy.modified ~obj in
+      object_loads res.Strategy.nibble obj nib;
+      object_loads res.Strategy.modified obj del;
       let bad = ref None in
       Array.iteri
         (fun e l ->
@@ -58,9 +70,7 @@ let final_and_nibble_loads w (res : Strategy.result) =
   let nib = Placement.evaluate w res.Strategy.nibble in
   (final, nib)
 
-let check_lemma_4_5 w res =
-  let final, nib = final_and_nibble_loads w res in
-  let tau = res.Strategy.tau_max in
+let lemma_4_5 ~final ~nib ~tau =
   let bad = ref None in
   Array.iteri
     (fun e l ->
@@ -72,10 +82,7 @@ let check_lemma_4_5 w res =
     final.Placement.edge_loads;
   match !bad with Some msg -> Error msg | None -> Ok ()
 
-let check_lemma_4_6 w res =
-  let final, nib = final_and_nibble_loads w res in
-  let tree = Workload.tree w in
-  let tau = res.Strategy.tau_max in
+let lemma_4_6 tree ~final ~nib ~tau =
   let bad = ref None in
   List.iter
     (fun b ->
@@ -91,6 +98,14 @@ let check_lemma_4_6 w res =
     (Tree.buses tree);
   match !bad with Some msg -> Error msg | None -> Ok ()
 
+let check_lemma_4_5 w res =
+  let final, nib = final_and_nibble_loads w res in
+  lemma_4_5 ~final ~nib ~tau:res.Strategy.tau_max
+
+let check_lemma_4_6 w res =
+  let final, nib = final_and_nibble_loads w res in
+  lemma_4_6 (Workload.tree w) ~final ~nib ~tau:res.Strategy.tau_max
+
 let check_theorem_4_3 w res ~optimum =
   let c = Placement.congestion w res.Strategy.placement in
   if c <= (7. *. optimum) +. 1e-9 then Ok ()
@@ -102,8 +117,11 @@ let check_theorem_4_3 w res ~optimum =
 let check_all w res =
   let* () = check_valid w res in
   let* () = check_observation_3_2 w res in
-  let* () = check_lemma_4_5 w res in
-  check_lemma_4_6 w res
+  (* Lemmas 4.5 and 4.6 share one evaluation of both placements. *)
+  let final, nib = final_and_nibble_loads w res in
+  let tau = res.Strategy.tau_max in
+  let* () = lemma_4_5 ~final ~nib ~tau in
+  lemma_4_6 (Workload.tree w) ~final ~nib ~tau
 
 let max_edge_slack w res =
   let final, nib = final_and_nibble_loads w res in

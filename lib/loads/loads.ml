@@ -73,9 +73,6 @@ type obj_state = {
   below : int array;  (* per edge: copies strictly on the child side *)
   server : int array;  (* per node: serving copy; -1 = unassigned *)
   sdist : int array;  (* distance to [server]; -1 when unassigned *)
-  reads : int array;
-  writes : int array;
-  amount : int array;  (* reads + writes, cached *)
   req : int array;  (* requesting leaves, ascending *)
   total_writes : int;  (* κ_x: one Steiner-tree broadcast per write *)
   mutable ncopies : int;
@@ -110,16 +107,11 @@ let create w =
   let n = Tree.n tree in
   let objs =
     Array.init (Workload.num_objects w) (fun obj ->
-        let reads = Workload.read_vector w ~obj in
-        let writes = Workload.write_vector w ~obj in
         {
           marks = Marks.create rooted;
           below = Array.make m 0;
           server = Array.make n (-1);
           sdist = Array.make n (-1);
-          reads;
-          writes;
-          amount = Array.init n (fun v -> reads.(v) + writes.(v));
           req = Array.of_list (Workload.requesting_leaves w ~obj);
           total_writes = Workload.write_contention w ~obj;
           ncopies = 0;
@@ -256,12 +248,15 @@ let steiner_remove t o c =
   os.anchor <- new_anchor
 
 (* Point a leaf's requests at [server] (or [-1] to clear), moving its
-   path load. The hook sees the same per-edge deltas split into read and
-   write components (the engine's [amount] is their sum). *)
+   path load. The edge loads take the leaf's reads plus writes; the hook
+   sees the same per-edge deltas split into read and write components.
+   Frequencies are read from the workload, which must not change under
+   a live engine. *)
 let set_server t o leaf ~server ~dist =
   let os = t.objs.(o) in
-  let amt = os.amount.(leaf) in
-  let rd = os.reads.(leaf) and wr = os.writes.(leaf) in
+  let rd = Workload.reads t.w ~obj:o leaf
+  and wr = Workload.writes t.w ~obj:o leaf in
+  let amt = rd + wr in
   let apply target sign =
     if target >= 0 && amt <> 0 then
       iter_path_edges t leaf target (fun e ->
@@ -375,17 +370,38 @@ let rollback t cp =
 
 (* {2 Construction from copy sets} *)
 
+(* Bulk form of a sequence of [add_copy]s, ending in the same state: each
+   copy's root-path [below] counts and marks, the Steiner membership
+   loads once per object, then one [Flat.iter_nearest] pass assigns every
+   requesting leaf once (an [add_copy] per copy would rescan all of them
+   per copy). *)
 let of_copies w copies =
   let t = create w in
   if Array.length copies <> Array.length t.objs then
     invalid_arg "Loads.of_copies: object count mismatch";
+  let scratch = Flat.Scratch.create t.fl in
   Array.iteri
     (fun obj cs ->
-      List.iter (fun c -> add_copy t ~obj c) (List.sort_uniq compare cs))
+      let cs = List.sort_uniq compare cs in
+      List.iter (check_node t) cs;
+      let os = t.objs.(obj) in
+      List.iter
+        (fun c ->
+          iter_root_path t c (fun e -> os.below.(e) <- os.below.(e) + 1);
+          Marks.mark os.marks c;
+          os.ncopies <- os.ncopies + 1;
+          os.anchor <- c)
+        cs;
+      if os.total_writes > 0 then
+        for e = 0 to Tree.num_edges t.tree - 1 do
+          if member os e os.ncopies then steiner_load t obj e os.total_writes
+        done;
+      if cs <> [] then
+        Flat.iter_nearest t.fl scratch
+          ~nodes:(fun mark -> List.iter mark cs)
+          ~targets:(fun visit -> Array.iter visit os.req)
+          (fun leaf server dist -> set_server t obj leaf ~server ~dist))
     copies;
-  (* Construction deltas are not part of the caller's undo history. *)
-  t.journal <- [];
-  t.jlen <- 0;
   t
 
 (* {2 Inspection} *)
@@ -397,6 +413,10 @@ let has_copy t ~obj v =
   Marks.is_marked (obj_state t obj).marks v
 
 let num_copies t ~obj = (obj_state t obj).ncopies
+
+let nearest_copy t ~obj v =
+  check_node t v;
+  Marks.nearest (obj_state t obj).marks v
 
 let server t ~obj leaf =
   check_node t leaf;
@@ -412,8 +432,8 @@ let congestion t = Raw.congestion_value t.raw
 let evaluate t = Raw.evaluate t.raw
 
 let snapshot t =
-  Array.map
-    (fun os ->
+  Array.mapi
+    (fun obj os ->
       if os.ncopies = 0 && Array.length os.req > 0 then
         invalid_arg "Loads.snapshot: requests but no copies";
       let assigns =
@@ -422,8 +442,8 @@ let snapshot t =
             {
               Placement.leaf;
               server = os.server.(leaf);
-              reads = os.reads.(leaf);
-              writes = os.writes.(leaf);
+              reads = Workload.reads t.w ~obj leaf;
+              writes = Workload.writes t.w ~obj leaf;
             }
             :: acc)
           os.req []

@@ -71,8 +71,11 @@ val create : Workload.t -> t
 val of_copies : Workload.t -> int list array -> t
 (** [of_copies w copies] builds the engine state for the given per-object
     copy sets with nearest-copy assignments — the incremental counterpart
-    of [Placement.nearest w ~copies]. Duplicate nodes in a list are
-    collapsed. The construction deltas are not recorded in the undo
+    of [Placement.nearest w ~copies], and the same state a sequence of
+    {!add_copy}s over [create w] reaches. Duplicate nodes in a list are
+    collapsed. One [Flat.iter_nearest] pass per object assigns the
+    requesting leaves: O(n + copies · height · degree + leaves · height)
+    per object. The construction deltas are not recorded in the undo
     journal. *)
 
 (** {1 Delta operations}
@@ -138,6 +141,11 @@ val has_copy : t -> obj:int -> int -> bool
 
 val num_copies : t -> obj:int -> int
 (** O(1). *)
+
+val nearest_copy : t -> obj:int -> int -> (int * int) option
+(** [nearest_copy t ~obj v] is [Some (c, d)] with [c] the copy closest to
+    node [v], [d] edges away (ties to the lowest id), or [None] while the
+    object has no copy. O(height). *)
 
 val server : t -> obj:int -> int -> int option
 (** The copy currently serving a leaf's requests, if it has any. *)

@@ -68,7 +68,9 @@ let place ?scratch w ~obj =
     { obj; nodes = !nodes; gravity; rooted }
   end
 
-let place_all w = Array.init (Workload.num_objects w) (fun obj -> place w ~obj)
+let place_all w =
+  let scratch = Flat.Scratch.create (Flat.of_tree (Workload.tree w)) in
+  Array.init (Workload.num_objects w) (fun obj -> place ~scratch w ~obj)
 
 let placement w =
   let sets = place_all w in

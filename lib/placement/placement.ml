@@ -11,7 +11,7 @@ type t = obj_placement array
 
 let dedup_sorted xs = List.sort_uniq compare xs
 
-let nearest_object w ~obj ~copies =
+let nearest_object ?scratch w ~obj ~copies =
   let fl = Flat.of_tree (Workload.tree w) in
   let wf = Workload.flat w in
   let cs = dedup_sorted copies in
@@ -19,40 +19,41 @@ let nearest_object w ~obj ~copies =
   and hi = wf.Workload.Flat.req_off.(obj + 1) in
   if hi > lo && cs = [] then
     invalid_arg "Placement.nearest: requests but no copies";
-  (* [cs] is sorted and only a strictly smaller distance displaces the
-     incumbent, so ties go to the lowest node id — the canonical
-     tie-break every evaluator and the incremental engine reproduce. *)
-  let closest leaf =
-    let best = ref (-1) and best_d = ref max_int in
-    List.iter
-      (fun c ->
-        let d = Flat.distance fl leaf c in
-        if d < !best_d then begin
-          best := c;
-          best_d := d
-        end)
-      cs;
-    !best
-  in
   let assigns = ref [] in
-  for i = hi - 1 downto lo do
-    let leaf = wf.Workload.Flat.req_leaf.(i) in
-    assigns :=
-      {
-        leaf;
-        server = closest leaf;
-        reads = Workload.reads w ~obj leaf;
-        writes = Workload.writes w ~obj leaf;
-      }
-      :: !assigns
-  done;
+  if hi > lo then begin
+    let scratch =
+      match scratch with Some s -> s | None -> Flat.Scratch.create fl
+    in
+    let req_leaf = wf.Workload.Flat.req_leaf in
+    (* Descending, so the consed list comes out in ascending leaf order. *)
+    Flat.iter_nearest fl scratch
+      ~nodes:(fun mark -> List.iter mark cs)
+      ~targets:(fun visit ->
+        for i = hi - 1 downto lo do
+          visit req_leaf.(i)
+        done)
+      (fun leaf server _dist ->
+        assigns :=
+          {
+            leaf;
+            server;
+            reads = Workload.reads w ~obj leaf;
+            writes = Workload.writes w ~obj leaf;
+          }
+          :: !assigns)
+  end;
   { copies = cs; assigns = !assigns }
 
 let nearest ?(exec = Exec.sequential) w ~copies =
   ignore (Workload.flat w);
-  ignore (Tree.flat_index (Workload.tree w));
+  let fl = Flat.of_tree (Workload.tree w) in
+  let scratches =
+    Array.init (Exec.jobs exec) (fun _ -> Flat.Scratch.create fl)
+  in
   Exec.map_chunked exec (Workload.num_objects w) (fun obj ->
-      nearest_object w ~obj ~copies:copies.(obj))
+      nearest_object
+        ~scratch:scratches.(Exec.current_worker ())
+        w ~obj ~copies:copies.(obj))
 
 let single w obj_to_node =
   let n = Workload.num_objects w in
@@ -138,43 +139,56 @@ let leaf_only tree t =
 
 let validate w t =
   let tree = Workload.tree w in
+  let n = Tree.n tree in
   let problem = ref None in
   let fail fmt = Printf.ksprintf (fun s -> if !problem = None then problem := Some s) fmt in
+  let in_range v = v >= 0 && v < n in
   if Array.length t <> Workload.num_objects w then
     fail "placement has %d objects, workload %d" (Array.length t)
-      (Workload.num_objects w);
-  Array.iteri
-    (fun obj op ->
-      if List.length (dedup_sorted op.copies) <> List.length op.copies then
-        fail "object %d: duplicate copies" obj;
-      List.iter
-        (fun c ->
-          if c < 0 || c >= Tree.n tree then fail "object %d: bad copy node" obj)
-        op.copies;
-      let reads = Array.make (Tree.n tree) 0 in
-      let writes = Array.make (Tree.n tree) 0 in
-      List.iter
-        (fun a ->
-          if a.reads < 0 || a.writes < 0 then
-            fail "object %d: negative assignment" obj;
-          if not (List.mem a.server op.copies) then
-            fail "object %d: server %d holds no copy" obj a.server;
-          if not (Tree.is_leaf tree a.leaf) then
-            fail "object %d: requests from non-processor %d" obj a.leaf;
-          reads.(a.leaf) <- reads.(a.leaf) + a.reads;
-          writes.(a.leaf) <- writes.(a.leaf) + a.writes)
-        op.assigns;
-      for v = 0 to Tree.n tree - 1 do
-        let hr = if Tree.is_leaf tree v then Workload.reads w ~obj v else 0 in
-        let hw = if Tree.is_leaf tree v then Workload.writes w ~obj v else 0 in
-        if reads.(v) <> hr then
-          fail "object %d: node %d reads %d assigned, %d required" obj v
-            reads.(v) hr;
-        if writes.(v) <> hw then
-          fail "object %d: node %d writes %d assigned, %d required" obj v
-            writes.(v) hw
-      done)
-    t;
+      (Workload.num_objects w)
+  else begin
+    (* Per-call buffers: copy membership as stamps (the object id + 1),
+       assigned frequencies zeroed again by the check that reads them. *)
+    let holds = Array.make n 0 in
+    let reads = Array.make n 0 in
+    let writes = Array.make n 0 in
+    Array.iteri
+      (fun obj op ->
+        let stamp = obj + 1 in
+        if List.length (dedup_sorted op.copies) <> List.length op.copies then
+          fail "object %d: duplicate copies" obj;
+        List.iter
+          (fun c ->
+            if in_range c then holds.(c) <- stamp
+            else fail "object %d: bad copy node" obj)
+          op.copies;
+        List.iter
+          (fun a ->
+            if a.reads < 0 || a.writes < 0 then
+              fail "object %d: negative assignment" obj;
+            if not (in_range a.server && holds.(a.server) = stamp) then
+              fail "object %d: server %d holds no copy" obj a.server;
+            if not (in_range a.leaf && Tree.is_leaf tree a.leaf) then
+              fail "object %d: requests from non-processor %d" obj a.leaf
+            else begin
+              reads.(a.leaf) <- reads.(a.leaf) + a.reads;
+              writes.(a.leaf) <- writes.(a.leaf) + a.writes
+            end)
+          op.assigns;
+        for v = 0 to n - 1 do
+          let hr = if Tree.is_leaf tree v then Workload.reads w ~obj v else 0 in
+          let hw = if Tree.is_leaf tree v then Workload.writes w ~obj v else 0 in
+          if reads.(v) <> hr then
+            fail "object %d: node %d reads %d assigned, %d required" obj v
+              reads.(v) hr;
+          if writes.(v) <> hw then
+            fail "object %d: node %d writes %d assigned, %d required" obj v
+              writes.(v) hw;
+          reads.(v) <- 0;
+          writes.(v) <- 0
+        done)
+      t
+  end;
   match !problem with None -> Ok () | Some msg -> Error msg
 
 type component = Read_path | Write_path | Write_steiner

@@ -45,10 +45,17 @@ val nearest : ?exec:Hbn_exec.Exec.t -> Workload.t -> copies:int list array -> t
     requests has no copies. [exec] fans the per-object assignment out
     over domains; results are identical at any job count. *)
 
-val nearest_object : Workload.t -> obj:int -> copies:int list -> obj_placement
-(** One object's nearest-copy assignment — the pure per-object unit
-    {!nearest} maps over. Safe to call concurrently once
-    [Workload.views] has been forced. *)
+val nearest_object :
+  ?scratch:Hbn_tree.Flat.Scratch.t ->
+  Workload.t ->
+  obj:int ->
+  copies:int list ->
+  obj_placement
+(** One object's nearest-copy assignment — the per-object unit {!nearest}
+    maps over, one {!Hbn_tree.Flat.iter_nearest} pass: O(n) whatever the
+    numbers of copies and requesting leaves. Safe to call concurrently
+    once [Workload.flat] has been forced, as long as each domain passes
+    its own [scratch] (a fresh one is allocated when omitted). *)
 
 val single : Workload.t -> (int * int) list -> t
 (** [single w obj_to_node] places exactly one copy per object as listed
@@ -75,7 +82,9 @@ val leaf_only : Tree.t -> t -> bool
 
 val validate : Workload.t -> t -> (unit, string) result
 (** Checks that assignments exactly cover the workload's frequencies, that
-    servers hold copies, and that copy lists are duplicate-free. *)
+    servers hold copies, and that copy lists are duplicate-free. Never
+    raises: out-of-range nodes and object counts come back as [Error]
+    too. O(objects · n + copies · log copies + assignments). *)
 
 (** {1 Loads and congestion} *)
 

@@ -145,10 +145,7 @@ let climb cfg tree leaves eng ~prng ~hot =
   let current = ref c0 in
   let bytes = ref 0 and repl = ref 0 and migr = ref 0 and contr = ref 0 in
   let nearest_dist obj l =
-    List.fold_left
-      (fun acc c -> min acc (Tree.path_length tree l c))
-      max_int
-      (Loads.copies eng ~obj)
+    match Loads.nearest_copy eng ~obj l with Some (_, d) -> d | None -> max_int
   in
   let num_leaves = Array.length leaves in
   for _ = 1 to cfg.climb_iters do

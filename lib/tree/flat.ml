@@ -145,3 +145,41 @@ let iter_steiner fl (scratch : Scratch.t) ~nodes f =
 
 let subtree_sums_into fl (scratch : Scratch.t) ~src ~src_off =
   Tree.subtree_sums_into fl.r ~src ~src_off ~dst:scratch.Scratch.acc
+
+(* Nearest marked node, lexicographic on (distance, id). The bottom-up
+   pass leaves in [dist]/[near] the best node inside each canonical
+   subtree; the top-down pass then offers every node its parent's global
+   best one edge further away. A parent's best may lie inside the child's
+   own subtree, but then the child already holds that node two edges
+   closer, so the overestimate never wins — not even a tie. *)
+let nearest_none = max_int
+
+let offer_nearest dist near v ~from =
+  if dist.(from) <> nearest_none then begin
+    let d = dist.(from) + 1 in
+    if d < dist.(v) || (d = dist.(v) && near.(from) < near.(v)) then begin
+      dist.(v) <- d;
+      near.(v) <- near.(from)
+    end
+  end
+
+let iter_nearest fl (scratch : Scratch.t) ~nodes ~targets f =
+  let dist = scratch.Scratch.acc and near = scratch.Scratch.queue in
+  let n = fl.n in
+  Array.fill dist 0 n nearest_none;
+  Array.fill near 0 n (-1);
+  nodes (fun v ->
+      dist.(v) <- 0;
+      near.(v) <- v);
+  let pre = fl.r.Tree.preorder and parent = fl.r.Tree.parent in
+  for i = n - 1 downto 1 do
+    let v = pre.(i) in
+    offer_nearest dist near parent.(v) ~from:v
+  done;
+  for i = 1 to n - 1 do
+    let v = pre.(i) in
+    offer_nearest dist near v ~from:parent.(v)
+  done;
+  targets (fun v ->
+      if near.(v) < 0 then invalid_arg "Flat.iter_nearest: no nodes";
+      f v near.(v) dist.(v))

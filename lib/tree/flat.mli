@@ -99,6 +99,29 @@ val iter_steiner : t -> Scratch.t -> nodes:((int -> unit) -> unit) -> (int -> un
     zero allocation: membership marks use [scratch.nstamp], counts use
     [scratch.acc]. *)
 
+(** {1 Nearest marked node} *)
+
+val iter_nearest :
+  t ->
+  Scratch.t ->
+  nodes:((int -> unit) -> unit) ->
+  targets:((int -> unit) -> unit) ->
+  (int -> int -> int -> unit) ->
+  unit
+(** [iter_nearest fl scratch ~nodes ~targets f] calls [f v c d] for every
+    [v] produced by [targets], in that order, where [c] is the node of the
+    [nodes] set closest to [v] and [d] the edge count between them. Ties
+    on distance go to the lowest node id — the canonical reference-copy
+    rule that [Placement.nearest], the load engine and {!Marks} share.
+    Duplicates in [nodes] are welcome; raises [Invalid_argument] if a
+    target is asked for while [nodes] is empty.
+
+    Two passes over the canonical preorder, bottom-up then top-down: O(n)
+    time whatever the numbers of nodes and targets, zero allocation. The
+    results live in [scratch.acc] (distances) and [scratch.queue] (nodes)
+    until the scratch's next use; [f] may walk {!iter_path} on the same
+    scratch (which only touches [stack]), but no other kernel. *)
+
 (** {1 Subtree aggregation} *)
 
 val subtree_sums_into : t -> Scratch.t -> src:int array -> src_off:int -> unit

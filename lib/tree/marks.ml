@@ -4,7 +4,10 @@ type t = {
   mutable count : int;
   (* Per node: nearest marked node inside its subtree, as (distance, id);
      [best_d.(v) = none] when the subtree holds no marked node. Ties on
-     distance break to the lowest id, matching Placement.nearest. *)
+     distance break to the lowest id. This is the bottom-up pass of
+     [Flat.iter_nearest] (the from-scratch kernel behind
+     [Placement.nearest] and [Loads.of_copies]), kept up to date under
+     toggles instead of recomputed in O(n). *)
   best_d : int array;
   best_n : int array;
 }

@@ -7,9 +7,10 @@
     along the path to the root (O(height · degree)); both bounds are small
     on hierarchical bus networks, which are shallow by construction.
 
-    Ties on distance resolve to the lowest node id, matching the
-    reference-copy rule of [Placement.nearest] so that incrementally
-    maintained assignments stay bit-identical to from-scratch ones. *)
+    Ties on distance resolve to the lowest node id, the reference-copy
+    rule that the from-scratch kernel {!Flat.iter_nearest} computes for
+    all nodes at once in O(n), so that incrementally maintained
+    assignments stay bit-identical to from-scratch ones. *)
 
 type t
 

@@ -17,6 +17,7 @@ let () =
       ("workload", Test_workload.suite);
       ("partition", Test_partition.suite);
       ("placement", Test_placement.suite);
+      ("nearest", Test_nearest.suite);
       ("loads", Test_loads.suite);
       ("attribution", Test_attribution.suite);
       ("nibble", Test_nibble.suite);

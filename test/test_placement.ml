@@ -125,6 +125,38 @@ let test_validate_catches_errors () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "duplicate copies accepted"
 
+(* Out-of-range nodes anywhere in a placement come back as [Error], never
+   as an exception. *)
+let test_validate_out_of_range () =
+  let _, w = star_instance () in
+  let good = Placement.nearest w ~copies:[| [ 1 ] |] in
+  let rejects what op =
+    match Placement.validate w [| op |] with
+    | Error _ -> ()
+    | Ok () -> Alcotest.failf "%s accepted" what
+    | exception e ->
+      Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  let with_assign f =
+    { good.(0) with Placement.assigns = List.map f good.(0).Placement.assigns }
+  in
+  List.iter
+    (fun v ->
+      rejects
+        (Printf.sprintf "leaf %d" v)
+        (with_assign (fun a -> { a with Placement.leaf = v }));
+      rejects
+        (Printf.sprintf "server %d" v)
+        (with_assign (fun a -> { a with Placement.server = v }));
+      rejects
+        (Printf.sprintf "copy node %d" v)
+        { good.(0) with Placement.copies = [ 1; v ] })
+    [ -1; 4; max_int ];
+  match Placement.validate w [| good.(0); good.(0) |] with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "extra object accepted"
+  | exception e -> Alcotest.failf "extra object raised %s" (Printexc.to_string e)
+
 let test_strictness () =
   let _, w = star_instance () in
   let split =
@@ -238,6 +270,7 @@ let suite =
     Helpers.tc "single placement" test_single;
     Helpers.tc "single validation" test_single_validation;
     Helpers.tc "validate catches errors" test_validate_catches_errors;
+    Helpers.tc "validate rejects out-of-range nodes" test_validate_out_of_range;
     Helpers.tc "strict vs split assignments" test_strictness;
     Helpers.tc "leaf_only" test_leaf_only;
     Helpers.tc "path/steiner overlap double-counted"
