@@ -126,9 +126,11 @@ bench-serve:
 # Serving-tier CLI smoke: run `serve` under hotspot-migration drift while
 # recording the generated request tables, replay the recording (which
 # must re-optimize the same epochs and migrate the same bytes — the
-# summary lines are compared verbatim), and feed the recorded telemetry
-# to `report` to prove the serving trace round-trips through the
-# analytics pipeline.
+# summary lines are compared verbatim — and write the same telemetry
+# JSONL byte for byte), rerun with --timings (tracing only observes: its
+# stdout must be the plain run's, followed by the phase table), and feed
+# the recorded telemetry to `report` to prove the serving trace
+# round-trips through the analytics pipeline.
 serve-smoke:
 	dune build bin/hbn_cli.exe
 	dune exec --no-build bin/hbn_cli.exe -- serve --kind balanced --arity 3 \
@@ -137,13 +139,21 @@ serve-smoke:
 	  --telemetry /tmp/hbn_serve_smoke_tel.jsonl > /tmp/hbn_serve_smoke_a.txt
 	dune exec --no-build bin/hbn_cli.exe -- serve --kind balanced --arity 3 \
 	  --height 3 --objects 8 --serve-seed 11 \
-	  --replay /tmp/hbn_serve_smoke_tables.txt > /tmp/hbn_serve_smoke_b.txt
+	  --replay /tmp/hbn_serve_smoke_tables.txt \
+	  --telemetry /tmp/hbn_serve_smoke_tel_b.jsonl > /tmp/hbn_serve_smoke_b.txt
 	diff /tmp/hbn_serve_smoke_a.txt /tmp/hbn_serve_smoke_b.txt
+	diff /tmp/hbn_serve_smoke_tel.jsonl /tmp/hbn_serve_smoke_tel_b.jsonl
+	dune exec --no-build bin/hbn_cli.exe -- serve --kind balanced --arity 3 \
+	  --height 3 --objects 8 --drift hotspot_migration --epochs 16 \
+	  --serve-seed 11 --timings > /tmp/hbn_serve_smoke_c.txt
+	head -n "$$(wc -l < /tmp/hbn_serve_smoke_a.txt)" /tmp/hbn_serve_smoke_c.txt \
+	  | diff /tmp/hbn_serve_smoke_a.txt -
 	dune exec --no-build bin/hbn_cli.exe -- report /tmp/hbn_serve_smoke_tel.jsonl \
 	  --format json > /dev/null
 	rm -f /tmp/hbn_serve_smoke_tables.txt /tmp/hbn_serve_smoke_tel.jsonl \
-	  /tmp/hbn_serve_smoke_a.txt /tmp/hbn_serve_smoke_b.txt
-	@echo "serve-smoke: record/replay identical + telemetry round-trip ok"
+	  /tmp/hbn_serve_smoke_tel_b.jsonl /tmp/hbn_serve_smoke_a.txt \
+	  /tmp/hbn_serve_smoke_b.txt /tmp/hbn_serve_smoke_c.txt
+	@echo "serve-smoke: replay, telemetry and --timings stdout identical; report ok"
 
 # Bechamel timings of the Tree.Flat primitive kernels (path folds,
 # batched LCA, scratch reuse) next to their list-returning Tree

@@ -4,22 +4,14 @@ module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Nibble = Hbn_nibble.Nibble
 
-(* The nibble placement streamed into edge loads one object at a time,
-   through one scratch: the per-edge integer sums of
-   [Placement.edge_loads w (Nibble.placement w)], hence the same float,
-   without holding every object's placement at once. *)
+(* The nibble placement streamed through the nearest-copy evaluator:
+   the per-edge integer sums of [Placement.edge_loads w
+   (Nibble.placement w)], hence the same float, without holding every
+   object's placement at once. *)
 let nibble w =
-  let tree = Workload.tree w in
-  let fl = Flat.of_tree tree in
-  let scratch = Flat.Scratch.create fl in
-  let loads = Array.make (max 1 (Tree.num_edges tree)) 0 in
-  for obj = 0 to Workload.num_objects w - 1 do
-    let copies = (Nibble.place ~scratch w ~obj).Nibble.nodes in
-    Placement.iter_object_load_components_scratch fl scratch
-      (Placement.nearest_object ~scratch w ~obj ~copies)
-      (fun e _component amount -> loads.(e) <- loads.(e) + amount)
-  done;
-  (Placement.congestion_of_edge_loads tree loads).Placement.value
+  let scratch = Flat.Scratch.create (Flat.of_tree (Workload.tree w)) in
+  Placement.nearest_congestion ~scratch w ~copies:(fun obj ->
+      (Nibble.place ~scratch w ~obj).Nibble.nodes)
 
 let single_object w =
   let tree = Workload.tree w in

@@ -130,10 +130,15 @@ let edge_contributions t ~edge = contributions_of_table t.cells.(edge)
 let incident_edges t bus =
   Array.to_list (Array.map snd (Tree.neighbors t.tree bus))
 
+(* Twice a bus's load out of per-edge totals: the sum over its incident
+   edges. *)
+let bus_load2 tree totals bus =
+  Array.fold_left (fun s (_, e) -> s + totals.(e)) 0 (Tree.neighbors tree bus)
+
 let bus_total2 t ~bus =
   if Tree.is_leaf t.tree bus then
     invalid_arg "Attribution.bus_total2: not a bus";
-  List.fold_left (fun s e -> s + t.totals.(e)) 0 (incident_edges t bus)
+  bus_load2 t.tree t.totals bus
 
 let bus_contributions t ~bus =
   if Tree.is_leaf t.tree bus then
@@ -154,24 +159,76 @@ type site = [ `Edge of int | `Bus of int ]
 
 (* The same float expressions as Placement.congestion_of_edge_loads, so
    the maximum over sites is bit-identical to the evaluator's value. *)
-let site_relative t = function
+let relative tree totals = function
   | `Edge e ->
-    float_of_int t.totals.(e) /. float_of_int (Tree.edge_bandwidth t.tree e)
+    float_of_int totals.(e) /. float_of_int (Tree.edge_bandwidth tree e)
   | `Bus b ->
-    float_of_int (bus_total2 t ~bus:b)
-    /. (2. *. float_of_int (Tree.bus_bandwidth t.tree b))
+    float_of_int (bus_load2 tree totals b)
+    /. (2. *. float_of_int (Tree.bus_bandwidth tree b))
 
-let all_sites t =
-  List.init (Array.length t.totals) (fun e -> `Edge e)
-  @ List.map (fun b -> `Bus b) (Tree.buses t.tree)
+let site_relative t site = relative t.tree t.totals site
 
-let hotspots t ~k =
-  (* The site list is already in the evaluator's scan order (edges by id,
-     then buses by id); a stable sort on relative load alone therefore
-     breaks ties exactly like its strict-maximum argmax. *)
-  let rated = List.map (fun s -> (s, site_relative t s)) (all_sites t) in
+(* The [k] hottest sites of per-edge totals. The site list is built in
+   the evaluator's scan order (edges by id, then buses by id); a stable
+   sort on relative load alone therefore breaks ties exactly like its
+   strict-maximum argmax. *)
+let ranked_sites tree totals ~k =
+  let sites =
+    List.init (Tree.num_edges tree) (fun e -> `Edge e)
+    @ List.map (fun b -> `Bus b) (Tree.buses tree)
+  in
+  let rated = List.map (fun s -> (s, relative tree totals s)) sites in
   let sorted = List.stable_sort (fun (_, a) (_, b) -> compare b a) rated in
   List.filteri (fun i _ -> i < k) sorted
+
+let hotspots t ~k = ranked_sites t.tree t.totals ~k
+
+(* Per-object contributions to the hottest [2k] sites, straight off the
+   engine's state: [weight.(e)] counts how often edge [e] is summed over
+   those sites — once as an edge site, once per bus site it is incident
+   to, since a bus's contributions are its incident edges' cells. One
+   object's total is then its per-edge loads weighted by [weight], the
+   same integer as summing its cells site by site. *)
+let hot_objects eng ~k =
+  let w = Loads.workload eng in
+  let tree = Workload.tree w in
+  let weight = Array.make (max 1 (Tree.num_edges tree)) 0 in
+  List.iter
+    (fun (site, _) ->
+      match site with
+      | `Edge e -> weight.(e) <- weight.(e) + 1
+      | `Bus b ->
+        Array.iter
+          (fun (_, e) -> weight.(e) <- weight.(e) + 1)
+          (Tree.neighbors tree b))
+    (ranked_sites tree (Loads.edge_loads eng) ~k:(2 * k));
+  let fl = Flat.of_tree tree in
+  let scratch = Flat.Scratch.create fl in
+  let wf = Workload.flat w in
+  let totals = ref [] in
+  for obj = Workload.num_objects w - 1 downto 0 do
+    if Loads.num_copies eng ~obj > 0 then begin
+      let amount = ref 0 in
+      let add units e = amount := !amount + (weight.(e) * units) in
+      Workload.Flat.iter_requesting wf ~obj (fun leaf ->
+          match Loads.server eng ~obj leaf with
+          | Some server when server <> leaf ->
+            let units =
+              Workload.reads w ~obj leaf + Workload.writes w ~obj leaf
+            in
+            if units > 0 then Flat.iter_path fl scratch leaf server (add units)
+          | _ -> ());
+      let kappa = Workload.Flat.kappa wf ~obj in
+      if kappa > 0 then
+        Flat.iter_steiner fl scratch
+          ~nodes:(fun mark -> List.iter mark (Loads.copies eng ~obj))
+          (add kappa);
+      if !amount > 0 then totals := (obj, !amount) :: !totals
+    end
+  done;
+  List.stable_sort (fun (_, a1) (_, a2) -> compare a2 a1) !totals
+  |> List.filteri (fun i _ -> i < k)
+  |> List.map fst |> Array.of_list
 
 let congestion_value t =
   match hotspots t ~k:1 with [] -> 0. | (_, rel) :: _ -> rel

@@ -102,6 +102,16 @@ val hotspots : t -> k:int -> (site * float) list
     before buses and lower ids first, matching the evaluator's argmax
     (so the head is its [bottleneck]). *)
 
+val hot_objects : Loads.t -> k:int -> int array
+(** The [k] objects that load the engine's hottest sites most: each
+    object's contributions summed over the [2k] {!hotspots} sites of the
+    engine's current state (bus sites in the doubled units of
+    {!bus_contributions}), largest total first, ties to the lower object
+    id; objects contributing nothing are left out. The same ranking as
+    reading {!of_loads}'s cells, computed without building a table: one
+    path/Steiner pass per object with copies, O(objects · n) time and
+    O(n) space. *)
+
 val congestion_value : t -> float
 (** The congestion of the attributed state — bit-identical to
     [Placement.congestion] of the placement the table attributes. *)

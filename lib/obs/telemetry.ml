@@ -36,6 +36,8 @@ type t = {
   mutable cur_contractions : int;
   edge_count : int array;  (* per-edge traversals of the open round *)
   mutable touched : int list;  (* edges with a non-zero count, unordered *)
+  cut_edge : int array;  (* [end_round]'s top-k table, best first *)
+  cut_count : int array;
 }
 
 let create ?(top_k = 4) ?(capacity = 256) ~num_edges () =
@@ -59,6 +61,8 @@ let create ?(top_k = 4) ?(capacity = 256) ~num_edges () =
     cur_contractions = 0;
     edge_count = Array.make (max 1 num_edges) 0;
     touched = [];
+    cut_edge = Array.make top_k 0;
+    cut_count = Array.make top_k 0;
   }
 
 let begin_round ?vtime t ~round =
@@ -171,10 +175,39 @@ let compact t =
   t.history <- List.rev folded;
   t.count <- List.length folded
 
+(* The round's top-k by bounded insertion over the touched edges, in
+   [top_cut]'s order (count descending, then edge id ascending), zeroing
+   each counter as it is read: O(touched · k), no sort. *)
+let cut_round t =
+  let k = t.top_k in
+  let kept = ref 0 and total = ref 0 in
+  List.iter
+    (fun e ->
+      let c = t.edge_count.(e) in
+      t.edge_count.(e) <- 0;
+      total := !total + c;
+      let beats i =
+        c > t.cut_count.(i) || (c = t.cut_count.(i) && e < t.cut_edge.(i))
+      in
+      if !kept < k || beats (k - 1) then begin
+        let j = ref (min !kept (k - 1)) in
+        while !j > 0 && beats (!j - 1) do
+          t.cut_edge.(!j) <- t.cut_edge.(!j - 1);
+          t.cut_count.(!j) <- t.cut_count.(!j - 1);
+          decr j
+        done;
+        t.cut_edge.(!j) <- e;
+        t.cut_count.(!j) <- c;
+        if !kept < k then incr kept
+      end)
+    t.touched;
+  t.touched <- [];
+  let edges = List.init !kept (fun i -> (t.cut_edge.(i), t.cut_count.(i))) in
+  (edges, List.fold_left (fun rest (_, c) -> rest - c) !total edges)
+
 let end_round t ~live_nodes =
   open_check t "end_round";
-  let pairs = List.map (fun e -> (e, t.edge_count.(e))) t.touched in
-  let edges, other_edges = top_cut t.top_k pairs in
+  let edges, other_edges = cut_round t in
   let p =
     {
       round = t.cur_round;
@@ -194,8 +227,6 @@ let end_round t ~live_nodes =
       other_edges;
     }
   in
-  List.iter (fun e -> t.edge_count.(e) <- 0) t.touched;
-  t.touched <- [];
   t.cur_round <- -1;
   t.cur_sent <- 0;
   t.cur_dropped <- 0;

@@ -319,6 +319,27 @@ let congestion ?exec w t = (evaluate ?exec w t).value
 
 let total_load w t = Array.fold_left ( + ) 0 (edge_loads w t)
 
+(* Streams one object at a time — its copies, its nearest-copy
+   assignment, its loads — into a single per-edge array, so no
+   placement or engine is ever held whole. Integer sums, hence the same
+   float as [Loads.congestion (Loads.of_copies w copies)]. *)
+let nearest_congestion ?scratch w ~copies =
+  let tree = Workload.tree w in
+  let fl = Flat.of_tree tree in
+  let scratch =
+    match scratch with Some s -> s | None -> Flat.Scratch.create fl
+  in
+  let loads = Array.make (max 1 (Tree.num_edges tree)) 0 in
+  for obj = 0 to Workload.num_objects w - 1 do
+    match copies obj with
+    | [] -> ()
+    | cs ->
+      iter_object_load_components_scratch fl scratch
+        (nearest_object ~scratch w ~obj ~copies:cs)
+        (fun e _component amount -> loads.(e) <- loads.(e) + amount)
+  done;
+  (congestion_of_edge_loads tree loads).value
+
 let to_dot tree t =
   let held = Array.make (Tree.n tree) [] in
   Array.iteri

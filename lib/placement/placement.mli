@@ -155,6 +155,21 @@ val total_load : Workload.t -> t -> int
 (** Sum of all edge loads (the "total communication load" objective the
     paper contrasts congestion with). *)
 
+val nearest_congestion :
+  ?scratch:Hbn_tree.Flat.Scratch.t ->
+  Workload.t ->
+  copies:(int -> int list) ->
+  float
+(** [nearest_congestion w ~copies] is the congestion of every object
+    [obj] served from [copies obj] by nearest-copy assignment, streamed
+    one object at a time into one per-edge array: O(objects · n) time,
+    O(n) space. An object given no copies contributes nothing, as in a
+    [Hbn_loads.Loads] engine, so the value is bit-identical to
+    [Loads.congestion (Loads.of_copies w copies)]. [copies] is called
+    once per object, in ascending order, before that object's assignment
+    reuses [scratch] — a caller may compute copies with the same
+    scratch. *)
+
 val congestion_of_edge_loads : Tree.t -> int array -> congestion
 (** Recomputes bus loads and congestion from raw edge loads (used by the
     exact solver which manipulates edge-load vectors directly). *)

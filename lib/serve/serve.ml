@@ -4,6 +4,8 @@ module Placement = Hbn_placement.Placement
 module Prng = Hbn_prng.Prng
 module Loads = Hbn_loads.Loads
 module Attribution = Hbn_obs.Attribution
+module Sink = Hbn_obs.Sink
+module Trace = Hbn_obs.Trace
 module Telemetry = Hbn_obs.Telemetry
 module Monitor = Hbn_obs.Monitor
 module Strategy = Hbn_core.Strategy
@@ -110,37 +112,18 @@ let bootstrap w copies =
         copies.(obj) <- [ !best ]
   done
 
-(* The hot objects: contributions summed over the hottest attribution
-   sites, largest total first (ties: lower object id). *)
-let hot_objects attr ~k =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (site, _) ->
-      let contribs =
-        match site with
-        | `Edge edge -> Attribution.edge_contributions attr ~edge
-        | `Bus bus -> Attribution.bus_contributions attr ~bus
-      in
-      List.iter
-        (fun (c : Attribution.contribution) ->
-          let prev = try Hashtbl.find tbl c.Attribution.obj with Not_found -> 0 in
-          Hashtbl.replace tbl c.Attribution.obj (prev + c.Attribution.amount))
-        contribs)
-    (Attribution.hotspots attr ~k:(2 * k));
-  Hashtbl.fold (fun o a acc -> (o, a) :: acc) tbl []
-  |> List.sort (fun (o1, a1) (o2, a2) ->
-         if a1 <> a2 then compare a2 a1 else compare o1 o2)
-  |> List.filteri (fun i _ -> i < k)
-  |> List.map fst |> Array.of_list
-
 type proposal = Add of int | Move of int * int | Remove of int
 
 (* Hot-object hill climb on the live engine. Every proposal is priced in
    migration bytes (size x edges moved) against the hard budget before
    it is even tried; the whole climb commits only if the hysteresis
-   inequality holds, else the outer checkpoint rolls everything back. *)
+   inequality holds, else the outer checkpoint rolls everything back.
+   Each hot object's copy list is cached and refreshed only when one of
+   its proposals is accepted: a rejected proposal is rolled back, so the
+   list the next draw indexes is unchanged. *)
 let climb cfg tree leaves eng ~prng ~hot =
   let cp0 = Loads.checkpoint eng in
+  let hot_copies = Array.map (fun obj -> Loads.copies eng ~obj) hot in
   let c0 = Loads.congestion eng in
   let current = ref c0 in
   let bytes = ref 0 and repl = ref 0 and migr = ref 0 and contr = ref 0 in
@@ -149,8 +132,9 @@ let climb cfg tree leaves eng ~prng ~hot =
   in
   let num_leaves = Array.length leaves in
   for _ = 1 to cfg.climb_iters do
-    let obj = hot.(Prng.int prng (Array.length hot)) in
-    let copies = Loads.copies eng ~obj in
+    let i = Prng.int prng (Array.length hot) in
+    let obj = hot.(i) in
+    let copies = hot_copies.(i) in
     let k = List.length copies in
     if k > 0 && num_leaves > 0 then begin
       let prop =
@@ -183,6 +167,7 @@ let climb cfg tree leaves eng ~prng ~hot =
           if c < !current then begin
             current := c;
             bytes := !bytes + cost;
+            hot_copies.(i) <- Loads.copies eng ~obj;
             match p with
             | Add _ -> incr repl
             | Move _ -> incr migr
@@ -245,23 +230,32 @@ let run ?exec cfg source =
   let total_bytes = ref 0 in
   let reopt_epochs = ref 0 in
   for e = 0 to cfg.epochs - 1 do
+    let sp_epoch = Trace.span "serve.epoch" in
     let w = if e = 0 then w0 else table_of e in
     if e > 0 then check_table w;
+    let sp = Trace.span "serve.engine" in
     bootstrap w cur;
-    let eng = Loads.of_copies w (Array.copy cur) in
-    let attr = Attribution.attach eng in
+    let eng = Loads.of_copies w cur in
+    Trace.finish sp;
     (* Epoch boundary: the previous epoch's alerts decide whether the
-       hot objects get re-optimized before this epoch serves. *)
+       hot objects get re-optimized before this epoch serves. Only then
+       is the engine's load attributed; the climb runs hook-free. *)
+    let triggered = e > 0 && !trigger_next in
     let reopt, bytes, repl, migr, contr =
-      if e > 0 && !trigger_next then begin
-        let hot = hot_objects attr ~k:cfg.top_k in
+      if triggered then begin
+        let sp = Trace.span "serve.hot" in
+        let hot = Attribution.hot_objects eng ~k:cfg.top_k in
+        Trace.finish sp;
         if Array.length hot = 0 then (false, 0, 0, 0, 0)
         else
           let prng =
             Prng.create
               (Int64.to_int (Prng.hash ~seed:cfg.seed [ 5; e ]) land max_int)
           in
-          climb cfg tree leaves eng ~prng ~hot
+          let sp = Trace.span "serve.climb" in
+          let r = climb cfg tree leaves eng ~prng ~hot in
+          Trace.finish sp;
+          r
       end
       else (false, 0, 0, 0, 0)
     in
@@ -274,25 +268,25 @@ let run ?exec cfg source =
     end;
     let el = Loads.edge_loads eng in
     let c_serve = Loads.congestion eng in
+    (* The stale and oracle placements are served through the same
+       nearest-copy model as the serving state — one congestion scale —
+       by the streaming evaluator, which builds no engine. *)
+    let sp = Trace.span "serve.baselines" in
     let c_stale =
       let st = Array.copy stale in
       bootstrap w st;
-      Loads.congestion (Loads.of_copies w st)
+      Placement.nearest_congestion w ~copies:(Array.get st)
     in
-    (* The oracle is a fresh static re-place on this epoch's table,
-       served through the same engine model (nearest-copy assignment)
-       as the serving and stale numbers — one congestion scale. *)
+    (* The oracle is a fresh static re-place on this epoch's table. *)
     let c_oracle =
       if cfg.oracle then begin
         let res = Strategy.run ?exec w in
-        let copies =
-          Array.init num_objects (fun obj ->
-              Placement.copies res.Strategy.placement ~obj)
-        in
-        Loads.congestion (Loads.of_copies w copies)
+        Placement.nearest_congestion w ~copies:(fun obj ->
+            Placement.copies res.Strategy.placement ~obj)
       end
       else Float.nan
     in
+    Trace.finish sp;
     let sent = Array.fold_left ( + ) 0 el in
     let peak = Array.fold_left max 0 el in
     let requests = Workload.total_requests w * cfg.slots_per_epoch in
@@ -331,9 +325,6 @@ let run ?exec cfg source =
       obs "contractions" (at_boundary (if reopt then contr else 0));
       obs "live_nodes" (float_of_int n)
     done;
-    (* Detach the attribution hook before the engine goes out of use. *)
-    ignore (attr : Attribution.t);
-    Loads.set_hook eng None;
     let all_alerts = Monitor.alerts mon in
     let count = List.length all_alerts in
     let fresh = List.filteri (fun i _ -> i >= !prev_alert_count) all_alerts in
@@ -353,7 +344,15 @@ let run ?exec cfg source =
         s_contractions = contr;
         s_alerts = List.length fresh;
       }
-      :: !stats_rev
+      :: !stats_rev;
+    if Trace.enabled () then
+      Trace.finish sp_epoch
+        ~attrs:
+          [
+            ("epoch", Sink.Int e);
+            ("triggered", Sink.Bool triggered);
+            ("reoptimized", Sink.Bool reopt);
+          ]
   done;
   {
     epochs = List.rev !stats_rev;

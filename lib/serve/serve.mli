@@ -2,8 +2,8 @@
 
     Closes the loop the ROADMAP's headline item asks for: a long-running
     loop streams request traffic epoch by epoch through the incremental
-    {!Hbn_loads.Loads} engine with an {!Hbn_obs.Attribution} table
-    attached, one {!Hbn_obs.Monitor} armed over the serving telemetry,
+    {!Hbn_loads.Loads} engine, one {!Hbn_obs.Monitor} armed over the
+    serving telemetry,
     and — when the monitor's alerts say the pattern shifted — re-optimizes
     {e only the hot objects} at the next epoch boundary, gated by a
     migration-cost model and hysteresis.
@@ -11,11 +11,11 @@
     {2 The loop, per epoch}
 
     + Build the epoch's workload (a {!Drift} generator or a replayed
-      table), rebuild the load engine on the current copy sets, attach
-      attribution.
+      table) and rebuild the load engine on the current copy sets.
     + If the {e previous} epoch raised any alert on a non-reconfiguration
-      series: take the [top_k] hottest objects from the attribution
-      table's hotspot sites and hill-climb their copy sets through
+      series: take the [top_k] hottest objects
+      ({!Hbn_obs.Attribution.hot_objects} — attribution is computed on
+      these trigger epochs only) and hill-climb their copy sets through
       checkpoint/rollback proposals. Every accepted move is priced at
       [obj_size * edges_moved] bytes (replication pays the distance to
       the nearest existing copy; migration the src-dst path; dropping a
@@ -25,6 +25,9 @@
        msg_bytes] — replacement traffic never exceeds the configured
       fraction of the traffic the congestion drop saves; otherwise the
       epoch rolls back to its checkpoint and serves stale.
+    + Price the stale and oracle baselines with
+      {!Hbn_placement.Placement.nearest_congestion} — the same
+      nearest-copy model as the engine, without building one.
     + Serve [slots_per_epoch] slots: each slot accounts the engine's
       per-edge loads into the telemetry collector ({!Telemetry.send_many}
       batched per edge, plus hashed off-edge jitter), records
@@ -35,7 +38,10 @@
     PRNG-seeded per epoch; the parallel [exec] only accelerates the
     initial/oracle placements, which are bit-identical at any job count —
     so state, telemetry and alerts are byte-identical across reruns and
-    [--jobs]. *)
+    [--jobs]. Under tracing each epoch is one [serve.epoch] span
+    (attributes [epoch], [triggered], [reoptimized]) with children
+    [serve.engine], [serve.hot], [serve.climb] and [serve.baselines];
+    tracing never changes the outcome. *)
 
 module Tree = Hbn_tree.Tree
 module Workload = Hbn_workload.Workload

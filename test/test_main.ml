@@ -31,6 +31,7 @@ let () =
       ("dist", Test_dist.suite);
       ("dynamic", Test_dynamic.suite);
       ("serve", Test_serve.suite);
+      ("serve_cost", Test_serve_cost.suite);
       ("capacitated", Test_capacitated.suite);
       ("ablation", Test_ablation.suite);
       ("io", Test_io.suite);

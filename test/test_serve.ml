@@ -10,6 +10,8 @@ module Workload = Hbn_workload.Workload
 module Prng = Hbn_prng.Prng
 module Exec = Hbn_exec.Exec
 module Telemetry = Hbn_obs.Telemetry
+module Sink = Hbn_obs.Sink
+module Trace = Hbn_obs.Trace
 module Monitor = Hbn_obs.Monitor
 module Request = Hbn_dynamic.Request
 module Online = Hbn_dynamic.Online
@@ -218,6 +220,35 @@ let test_rerun_deterministic () =
   let b = fingerprint (run_kind Drift.Flash_crowd) in
   Alcotest.(check bool) "reruns are byte-identical" true (a = b)
 
+(* Tracing only observes: under an in-memory sink the run returns the
+   same epochs, alerts and copy sets, and each epoch gets one
+   serve.epoch span around its serve.engine/hot/climb/baselines work. *)
+let test_traced_matches_untraced () =
+  let plain = fingerprint (run_kind Drift.Hotspot_migration) in
+  let sink, read = Sink.memory () in
+  let traced =
+    Trace.with_sink sink (fun () ->
+        fingerprint (run_kind Drift.Hotspot_migration))
+  in
+  Alcotest.(check bool) "traced outcome equals untraced" true (plain = traced);
+  let ends name =
+    List.length
+      (List.filter
+         (fun (ev : Sink.event) ->
+           ev.Sink.name = name
+           && match ev.Sink.payload with Sink.Span_end _ -> true | _ -> false)
+         (read ()))
+  in
+  let epochs, _, _, reopt, _, _ = plain in
+  Alcotest.(check int) "one serve.epoch span per epoch" (List.length epochs)
+    (ends "serve.epoch");
+  Alcotest.(check int) "one serve.engine span per epoch" (List.length epochs)
+    (ends "serve.engine");
+  Alcotest.(check int) "one serve.baselines span per epoch" (List.length epochs)
+    (ends "serve.baselines");
+  Alcotest.(check bool) "a climb span per re-optimized epoch" true
+    (ends "serve.climb" >= reopt && ends "serve.hot" >= ends "serve.climb")
+
 let test_load_tables_rejects_garbage () =
   let tree = serve_tree () in
   let reject name content =
@@ -327,6 +358,8 @@ let suite =
     Helpers.tc "record/replay round-trip" test_replay_round_trip;
     Helpers.slow "identical across --jobs 1/2/4" test_jobs_deterministic;
     Helpers.tc "identical across reruns" test_rerun_deterministic;
+    Helpers.tc "traced run returns the untraced outcome"
+      test_traced_matches_untraced;
     Helpers.tc "malformed table files rejected" test_load_tables_rejects_garbage;
     Helpers.tc "send_many and reconfig counters" test_send_many_and_reconfig;
     Helpers.tc "counter validation" test_counter_validation;
