@@ -26,9 +26,10 @@ test:
 # smoke simulates one topology synchronously and on a slow lower tier
 # and requires completion to rise while the traffic stays pinned; the
 # simulate --faults/--link line exercises the same machinery end to end
-# through the CLI; bench-quick cross-checks the Tree.Flat kernels against
-# their list-returning Tree counterparts and the event engine's pairing
-# heap against a stable sort; the monitor smoke replays the synthetic
+# through the CLI; bench-quick cross-checks the event engine's pairing
+# heap against a stable sort (the Tree.Flat kernels' agreement with the
+# list-returning reference in test/tree_oracle.ml runs in `dune runtest`,
+# test/test_flat.ml); the monitor smoke replays the synthetic
 # drift matrix and requires steady traffic to stay silent while every
 # drift shape fires; report-smoke drives --trace/--telemetry recording,
 # the report command's three renderers, and a --diff of a trace against
@@ -155,14 +156,14 @@ serve-smoke:
 	  /tmp/hbn_serve_smoke_b.txt /tmp/hbn_serve_smoke_c.txt
 	@echo "serve-smoke: replay, telemetry and --timings stdout identical; report ok"
 
-# Bechamel timings of the Tree.Flat primitive kernels (path folds,
-# batched LCA, scratch reuse) next to their list-returning Tree
-# counterparts. No JSON written; ns/run estimates print as a table.
+# Bechamel timings of the Tree.Flat primitive kernels (path walks,
+# batched LCA, scratch reuse, nearest-node assignment) and the event
+# engine. No JSON written; ns/run estimates print as a table.
 bench-micro:
 	dune exec bench/micro_main.exe
 
-# Fast agreement pass over the same kernels — no timing, exit 1 on any
-# flat/Tree divergence. Part of `make check`.
+# Fast agreement pass — no timing, exit 1 if the pairing heap's pop order
+# diverges from a stable sort. Part of `make check`.
 bench-quick:
 	dune exec bench/micro_main.exe -- --smoke
 

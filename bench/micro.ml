@@ -1,6 +1,6 @@
 (* Bechamel microbenchmarks: B1-B4 cover per-phase cost of the strategy
    on a fixed mid-size instance; F1-F4 cover the Tree.Flat primitives the
-   hot path is built from (path folds, batched LCA, scratch reuse,
+   hot path is built from (path walks, batched LCA, scratch reuse,
    nearest-node assignment);
    E1-E2 cover the discrete-event substrate the asynchronous simulators
    run on (pairing-heap churn, engine tick chains). Results print as
@@ -63,46 +63,22 @@ let flat_instance () =
 
 let flat_tests =
   let tree, fl, pairs, steiner_sets = flat_instance () in
-  let ix = Tree.flat_index tree in
-  let lix = Tree.lca_index (Tree.rooting tree) in
-  let r = Tree.rooting tree in
   let leaves = Tree.leaves_array tree in
   let scratch = Flat.Scratch.create fl in
   Test.make_grouped ~name:"flat"
     [
-      Test.make ~name:"F1 path fold (flat, scratch reuse)"
+      Test.make ~name:"F1 path walk (flat, scratch reuse)"
         (Staged.stage (fun () ->
              let acc = ref 0 in
              Array.iter
                (fun (u, v) ->
-                 acc :=
-                   Flat.fold_path fl scratch u v ~init:!acc ~f:(fun a e ->
-                       a + e))
-               pairs;
-             ignore !acc));
-      Test.make ~name:"F1' path fold (Tree.path_edges lists)"
-        (Staged.stage (fun () ->
-             let acc = ref 0 in
-             Array.iter
-               (fun (u, v) ->
-                 acc :=
-                   List.fold_left ( + ) !acc (Tree.path_edges tree u v))
+                 Flat.iter_path fl scratch u v (fun e -> acc := !acc + e))
                pairs;
              ignore !acc));
       Test.make ~name:"F2 batched LCA (flat O(1))"
         (Staged.stage (fun () ->
              let acc = ref 0 in
-             Array.iter (fun (u, v) -> acc := !acc + Tree.lca_flat ix u v) pairs;
-             ignore !acc));
-      Test.make ~name:"F2' batched LCA (lca_fast, O(log n))"
-        (Staged.stage (fun () ->
-             let acc = ref 0 in
-             Array.iter (fun (u, v) -> acc := !acc + Tree.lca_fast lix u v) pairs;
-             ignore !acc));
-      Test.make ~name:"F2'' batched LCA (rooted walk)"
-        (Staged.stage (fun () ->
-             let acc = ref 0 in
-             Array.iter (fun (u, v) -> acc := !acc + Tree.lca r u v) pairs;
+             Array.iter (fun (u, v) -> acc := !acc + Flat.lca fl u v) pairs;
              ignore !acc));
       Test.make ~name:"F3 steiner scan (scratch reuse)"
         (Staged.stage (fun () ->
@@ -123,15 +99,6 @@ let flat_tests =
                  Flat.iter_steiner fl fresh
                    ~nodes:(fun mark -> List.iter mark nodes)
                    (fun e -> acc := !acc + e))
-               steiner_sets;
-             ignore !acc));
-      Test.make ~name:"F3'' steiner scan (Tree.steiner_edges lists)"
-        (Staged.stage (fun () ->
-             let acc = ref 0 in
-             Array.iter
-               (fun nodes ->
-                 acc :=
-                   List.fold_left ( + ) !acc (Tree.steiner_edges tree nodes))
                steiner_sets;
              ignore !acc));
       Test.make ~name:"F4 nearest node, every leaf (two-pass kernel)"
@@ -245,68 +212,11 @@ let run_flat () =
 let run_event () =
   run_group ~banner:"\n=== E1-E2: discrete-event engine kernels ===" event_tests
 
-(* Fast correctness pass over the same kernels, for `make bench-quick`:
-   every flat primitive is cross-checked against its list-returning
-   counterpart on the bench instance, with one shared scratch to exercise
-   the reuse discipline. No timing claims. *)
-let smoke_flat () =
-  let tree, fl, pairs, steiner_sets = flat_instance () in
-  let ix = Tree.flat_index tree in
-  let lix = Tree.lca_index (Tree.rooting tree) in
-  let r = Tree.rooting tree in
-  let scratch = Flat.Scratch.create fl in
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
-  Array.iter
-    (fun (u, v) ->
-      let a = Tree.lca r u v in
-      if Tree.lca_flat ix u v <> a || Tree.lca_fast lix u v <> a then
-        fail "bench/micro --smoke: LCA mismatch at (%d,%d)" u v;
-      let path = ref [] in
-      Flat.iter_path fl scratch u v (fun e -> path := e :: !path);
-      if List.rev !path <> Tree.path_edges tree u v then
-        fail "bench/micro --smoke: path order mismatch at (%d,%d)" u v)
-    pairs;
-  Array.iter
-    (fun nodes ->
-      let edges = ref [] in
-      Flat.iter_steiner fl scratch
-        ~nodes:(fun mark -> List.iter mark nodes)
-        (fun e -> edges := e :: !edges);
-      if List.rev !edges <> Tree.steiner_edges tree nodes then
-        fail "bench/micro --smoke: steiner order mismatch")
-    steiner_sets;
-  (* The Steiner node sets double as copy sets for the nearest-node
-     kernel, every node a target, against the per-pair scan over
-     [Tree.path_edges] lengths with ties to the lowest id. *)
-  let n = Tree.n tree in
-  Array.iter
-    (fun nodes ->
-      let want v =
-        List.fold_left
-          (fun best c -> min best (List.length (Tree.path_edges tree v c), c))
-          (max_int, max_int) nodes
-      in
-      Flat.iter_nearest fl scratch
-        ~nodes:(fun mark -> List.iter mark nodes)
-        ~targets:(fun visit ->
-          for v = 0 to n - 1 do
-            visit v
-          done)
-        (fun v c d ->
-          if (d, c) <> want v then
-            fail "bench/micro --smoke: nearest mismatch at node %d" v))
-    steiner_sets;
-  Printf.printf
-    "bench/micro --smoke: flat kernels agree with Tree on %d paths, %d \
-     steiner sets, %d nearest-node sets (shared scratch)\n"
-    (Array.length pairs)
-    (Array.length steiner_sets)
-    (Array.length steiner_sets)
-
-(* Same fast-correctness idea for the event substrate: the pairing
-   heap's pop order on the bench instance must equal a stable sort by
-   time — equal timestamps pop FIFO, the property the engine's
-   bit-identical replay rests on. No timing claims. *)
+(* Fast correctness pass for `make bench-quick`: the pairing heap's pop
+   order on the bench instance must equal a stable sort by time — equal
+   timestamps pop FIFO, the property the engine's bit-identical replay
+   rests on. No timing claims. (The flat kernels' agreement check on the
+   F-instance lives in test/test_flat.ml.) *)
 let smoke_event () =
   let times = event_instance () in
   let q = Pq.create () in

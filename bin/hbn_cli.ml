@@ -192,21 +192,37 @@ let with_run_opts opts f =
   with_observability ~trace:opts.ro_trace ~timings:opts.ro_timings @@ fun () ->
   with_jobs opts.ro_jobs f
 
+let at_least flag lo v =
+  if v < lo then die "%s must be >= %d (got %d)" flag lo v
+
+(* Range errors are checked here, per flag, so a bad size exits through
+   [die] instead of surfacing as a builder's [Invalid_argument]. *)
 let build_topology kind ~prng ~leaves ~arity ~height ~spine ~buses ~bandwidth =
+  if kind <> `Rings then at_least "--bandwidth" 1 bandwidth;
   let profile = Builders.Uniform bandwidth in
   match kind with
-  | `Star -> Builders.star ~leaves ~profile
-  | `Balanced -> Builders.balanced ~arity ~height ~profile
+  | `Star ->
+    at_least "--leaves" 2 leaves;
+    Builders.star ~leaves ~profile
+  | `Balanced ->
+    at_least "--arity" 2 arity;
+    at_least "--height" 1 height;
+    Builders.balanced ~arity ~height ~profile
   | `Caterpillar ->
-    Builders.caterpillar ~spine ~leaves_per_bus:(max 1 (leaves / max 1 spine))
+    at_least "--spine" 1 spine;
+    Builders.caterpillar ~spine ~leaves_per_bus:(max 1 (leaves / spine))
       ~profile
-  | `Random -> Builders.random ~prng ~buses ~leaves ~profile
+  | `Random ->
+    at_least "--buses" 1 buses;
+    at_least "--leaves" 2 leaves;
+    Builders.random ~prng ~buses ~leaves ~profile
   | `Rings ->
     Builders.of_ring
       (Builders.sample_ring_of_rings ~prng ~depth:height ~fanout:2
          ~procs_per_ring:3)
 
 let build_workload kind ~prng tree ~objects =
+  at_least "--objects" 0 objects;
   match kind with
   | `Uniform -> Generators.uniform ~prng tree ~objects ~max_rate:8
   | `Zipf ->
@@ -694,6 +710,7 @@ let simulate_cmd =
   let run seed kind leaves arity height spine buses bandwidth wkind objects
       scale faults_spec link_spec telemetry_path opts =
     with_run_opts opts @@ fun exec ->
+    at_least "--scale" 1 scale;
     let prng = Prng.create seed in
     let t = build_topology kind ~prng ~leaves ~arity ~height ~spine ~buses ~bandwidth in
     let w = build_workload wkind ~prng t ~objects in

@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Prng = Hbn_prng.Prng
@@ -33,6 +34,7 @@ type outcome = {
 type state = {
   tree : Tree.t;
   rooted : Tree.rooted;
+  fl : Flat.t;
   size : int;  (* object size: transfer cost per edge, cf. [12] *)
   repl_threshold : int;
   migr_threshold : int;
@@ -57,7 +59,7 @@ let path_to_set st v =
   if st.in_set.(v) then [ v ]
   else begin
     let r = st.rooted in
-    let a = Tree.lca r v st.anchor in
+    let a = Flat.lca st.fl v st.anchor in
     let climb x stop =
       let rec go x acc =
         if x = stop then List.rev acc else go r.Tree.parent.(x) (x :: acc)
@@ -82,16 +84,8 @@ let edge_between st a b =
 (* The side of [v] for edge [e]'s migration counter. *)
 let migr_counter_towards st e v =
   let c = st.below.(e) in
-  let r = st.rooted in
-  (* v is on the child side iff c is an ancestor-or-self of v; use depths
-     by walking up from v at most depth difference — cheap via the
-     preorder test would need arrays; walk instead. *)
-  let rec ancestor x =
-    if x = c then true
-    else if x = r.Tree.root || r.Tree.depth.(x) <= r.Tree.depth.(c) then false
-    else ancestor r.Tree.parent.(x)
-  in
-  if ancestor v then (st.migr_child, st.migr_parent)
+  (* v is on the child side iff c is an ancestor-or-self of v. *)
+  if Flat.lca st.fl v c = c then (st.migr_child, st.migr_parent)
   else (st.migr_parent, st.migr_child)
 
 let add_node st v =
@@ -142,7 +136,7 @@ let serve st (req : Request.t) =
   let v = req.Request.node in
   let path = path_to_set st v in
   let u = List.nth path (List.length path - 1) in
-  let path_edges =
+  let crossed =
     List.map (fun (a, b) -> edge_between st a b) (consecutive_pairs path)
   in
   match req.Request.kind with
@@ -153,7 +147,7 @@ let serve st (req : Request.t) =
         Raw.add st.loads e 1;
         st.read_credit.(e) <-
           min st.repl_threshold (st.read_credit.(e) + 1))
-      path_edges;
+      crossed;
     (* Expansion crawl from the boundary towards the reader. *)
     let rec crawl = function
       | a :: (b :: _ as rest) when st.in_set.(a) && not st.in_set.(b) ->
@@ -171,7 +165,7 @@ let serve st (req : Request.t) =
   | Request.Write ->
     let internal = internal_edges st in
     (* Serve: request to the nearest copy plus the update broadcast. *)
-    List.iter (fun e -> Raw.add st.loads e 1) path_edges;
+    List.iter (fun e -> Raw.add st.loads e 1) crossed;
     List.iter (fun e -> Raw.add st.loads e 1) internal;
     (* Crossing writes build migration pressure towards the writer. *)
     List.iter
@@ -179,11 +173,11 @@ let serve st (req : Request.t) =
         let towards, away = migr_counter_towards st e v in
         towards.(e) <- min st.migr_threshold (towards.(e) + 1);
         away.(e) <- 0)
-      path_edges;
+      crossed;
     (* Writes served on the copies' side renew their claim: every edge
        that is neither crossed nor spanned sees a local write. *)
     let on_path = Array.make (max 1 (Tree.num_edges st.tree)) false in
-    List.iter (fun e -> on_path.(e) <- true) path_edges;
+    List.iter (fun e -> on_path.(e) <- true) crossed;
     let is_internal = Array.make (max 1 (Tree.num_edges st.tree)) false in
     List.iter (fun e -> is_internal.(e) <- true) internal;
     for e = 0 to Tree.num_edges st.tree - 1 do
@@ -265,6 +259,7 @@ let run ?(size = 1) ?threshold ?(validate = false) ?(obj = -1) tree ~initial
     {
       tree;
       rooted = r;
+      fl = Flat.of_tree tree;
       size;
       repl_threshold = threshold;
       migr_threshold = 2 * threshold;

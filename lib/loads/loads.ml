@@ -85,7 +85,6 @@ type hook =
 type t = {
   w : Workload.t;
   tree : Tree.t;
-  rooted : Tree.rooted;
   fl : Flat.t;  (* O(1) LCA/distance over the canonical rooting *)
   raw : Raw.t;
   objs : obj_state array;
@@ -121,7 +120,6 @@ let create w =
   {
     w;
     tree;
-    rooted;
     fl = Flat.of_tree tree;
     raw = Raw.create tree;
     objs;
@@ -145,18 +143,6 @@ let obj_state t obj =
 
 let check_node t v =
   if v < 0 || v >= Tree.n t.tree then invalid_arg "Loads: node out of range"
-
-(* {2 Path walks} *)
-
-let iter_root_path t v f =
-  let r = t.rooted in
-  let x = ref v in
-  while !x <> r.Tree.root do
-    f r.Tree.parent_edge.(!x);
-    x := r.Tree.parent.(!x)
-  done
-
-let iter_path_edges t u v f = Flat.iter_path_unordered t.fl u v f
 
 (* {2 Steiner-tree accounting}
 
@@ -190,8 +176,8 @@ let affected_edges t ~node ~other =
       t.esp <- t.esp + 1
     end
   in
-  iter_root_path t node visit;
-  if other >= 0 then iter_root_path t other visit
+  Flat.iter_path_to_root t.fl node visit;
+  if other >= 0 then Flat.iter_path_to_root t.fl other visit
 
 let iter_affected t f =
   (* Reversed fill order: the order the list-building implementation
@@ -210,12 +196,12 @@ let steiner_add t o c =
     let wts = os.total_writes in
     iter_affected t (fun e ->
         if member os e os.ncopies then steiner_load t o e (-wts));
-    iter_root_path t c (fun e -> os.below.(e) <- os.below.(e) + 1);
+    Flat.iter_path_to_root t.fl c (fun e -> os.below.(e) <- os.below.(e) + 1);
     os.ncopies <- n_new;
     iter_affected t (fun e -> if member os e n_new then steiner_load t o e wts)
   end
   else begin
-    iter_root_path t c (fun e -> os.below.(e) <- os.below.(e) + 1);
+    Flat.iter_path_to_root t.fl c (fun e -> os.below.(e) <- os.below.(e) + 1);
     os.ncopies <- n_new
   end;
   Marks.mark os.marks c;
@@ -237,12 +223,12 @@ let steiner_remove t o c =
     let wts = os.total_writes in
     iter_affected t (fun e ->
         if member os e os.ncopies then steiner_load t o e (-wts));
-    iter_root_path t c (fun e -> os.below.(e) <- os.below.(e) - 1);
+    Flat.iter_path_to_root t.fl c (fun e -> os.below.(e) <- os.below.(e) - 1);
     os.ncopies <- n_new;
     iter_affected t (fun e -> if member os e n_new then steiner_load t o e wts)
   end
   else begin
-    iter_root_path t c (fun e -> os.below.(e) <- os.below.(e) - 1);
+    Flat.iter_path_to_root t.fl c (fun e -> os.below.(e) <- os.below.(e) - 1);
     os.ncopies <- n_new
   end;
   os.anchor <- new_anchor
@@ -259,7 +245,7 @@ let set_server t o leaf ~server ~dist =
   let amt = rd + wr in
   let apply target sign =
     if target >= 0 && amt <> 0 then
-      iter_path_edges t leaf target (fun e ->
+      Flat.iter_path_unordered t.fl leaf target (fun e ->
           Raw.add t.raw e (sign * amt);
           match t.hook with
           | None -> ()
@@ -387,7 +373,8 @@ let of_copies w copies =
       let os = t.objs.(obj) in
       List.iter
         (fun c ->
-          iter_root_path t c (fun e -> os.below.(e) <- os.below.(e) + 1);
+          Flat.iter_path_to_root t.fl c (fun e ->
+              os.below.(e) <- os.below.(e) + 1);
           Marks.mark os.marks c;
           os.ncopies <- os.ncopies + 1;
           os.anchor <- c)

@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Prng = Hbn_prng.Prng
@@ -122,6 +123,7 @@ type proposal = Add of int | Move of int * int | Remove of int
    its proposals is accepted: a rejected proposal is rolled back, so the
    list the next draw indexes is unchanged. *)
 let climb cfg tree leaves eng ~prng ~hot =
+  let fl = Flat.of_tree tree in
   let cp0 = Loads.checkpoint eng in
   let hot_copies = Array.map (fun obj -> Loads.copies eng ~obj) hot in
   let c0 = Loads.congestion eng in
@@ -147,7 +149,7 @@ let climb cfg tree leaves eng ~prng ~hot =
           let src = List.nth copies (Prng.int prng k) in
           let dst = leaves.(Prng.int prng num_leaves) in
           if Loads.has_copy eng ~obj dst then None
-          else Some (Move (src, dst), cfg.obj_size * Tree.path_length tree src dst)
+          else Some (Move (src, dst), cfg.obj_size * Flat.distance fl src dst)
         | _ ->
           if k < 2 then None
           else Some (Remove (List.nth copies (Prng.int prng k)), 0)

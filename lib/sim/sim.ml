@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Trace = Hbn_obs.Trace
@@ -47,44 +48,48 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
     incr count;
     !count - 1
   in
+  let fl = Flat.of_tree tree in
+  let scratch = Flat.Scratch.create fl in
+  let r = fl.Flat.r in
   let add_unicast ~from ~target =
     let last = ref (-1) in
-    List.iter
-      (fun edge -> last := push edge !last)
-      (Tree.path_edges tree from target);
+    Flat.iter_path fl scratch from target (fun edge -> last := push edge !last);
     !last
   in
   (* Multicast from [source] over the Steiner tree of [nodes], gated on
-     [dep]: BFS orientation away from the source. *)
+     [dep]: BFS orientation away from the source. The tree's edges are
+     stamped in [estamp] and unstamped as the BFS crosses them; each node
+     offers its child edges in reverse [children] order, then its parent
+     edge — descending preorder of the lower endpoint. *)
+  let bfs_node = Array.make fl.Flat.n 0 and bfs_dep = Array.make fl.Flat.n 0 in
   let add_multicast ~source ~nodes ~dep =
-    let steiner = Tree.steiner_edges tree nodes in
-    if steiner <> [] then begin
-      let incident = Hashtbl.create 16 in
-      List.iter
-        (fun e ->
-          let u, v = Tree.edge_endpoints tree e in
-          Hashtbl.replace incident u
-            (e :: (try Hashtbl.find incident u with Not_found -> []));
-          Hashtbl.replace incident v
-            (e :: (try Hashtbl.find incident v with Not_found -> [])))
-        steiner;
-      let visited_edge = Hashtbl.create 16 in
-      let queue = Queue.create () in
-      Queue.add (source, dep) queue;
-      while not (Queue.is_empty queue) do
-        let node, d = Queue.pop queue in
-        List.iter
-          (fun e ->
-            if not (Hashtbl.mem visited_edge e) then begin
-              Hashtbl.add visited_edge e ();
-              let u, v = Tree.edge_endpoints tree e in
-              let next = if u = node then v else u in
-              let idx = push e d in
-              Queue.add (next, idx) queue
-            end)
-          (try Hashtbl.find incident node with Not_found -> [])
-      done
-    end
+    let estamp = scratch.Flat.Scratch.estamp in
+    Flat.iter_steiner fl scratch
+      ~nodes:(fun mark -> List.iter mark nodes)
+      (fun e -> estamp.(e) <- scratch.Flat.Scratch.stamp);
+    let stamp = scratch.Flat.Scratch.stamp in
+    let tail = ref 1 in
+    let cross e next d =
+      if estamp.(e) = stamp then begin
+        estamp.(e) <- 0;
+        bfs_node.(!tail) <- next;
+        bfs_dep.(!tail) <- push e d;
+        incr tail
+      end
+    in
+    bfs_node.(0) <- source;
+    bfs_dep.(0) <- dep;
+    let head = ref 0 in
+    while !head < !tail do
+      let node = bfs_node.(!head) and d = bfs_dep.(!head) in
+      incr head;
+      let cs = r.Tree.children.(node) in
+      for i = Array.length cs - 1 downto 0 do
+        cross r.Tree.parent_edge.(cs.(i)) cs.(i) d
+      done;
+      if node <> r.Tree.root then
+        cross r.Tree.parent_edge.(node) r.Tree.parent.(node) d
+    done
   in
   Array.iteri
     (fun _obj (op : Placement.obj_placement) ->

@@ -1,7 +1,6 @@
-(* The flat kernels reproduce the iteration orders of [Tree.path_edges]
-   and [Tree.steiner_edges] exactly: the pipeline's outputs are gated to
-   be bit-identical across representations and job counts, so order is
-   part of the contract here, not an accident. *)
+(* The iteration orders stated in flat.mli are part of the contract, not
+   an accident: the simulator's hop order and the pipeline's outputs are
+   gated to be bit-identical across job counts and releases. *)
 
 type t = {
   tree : Tree.t;
@@ -43,7 +42,17 @@ module Scratch = struct
     }
 end
 
-let lca fl u v = Tree.lca_flat fl.ix u v
+(* The node of minimal depth between the first occurrences of [u] and
+   [v] on the Euler tour, found in O(1) by overlapping the two
+   power-of-two windows that cover the range. *)
+let lca fl u v =
+  let ix = fl.ix in
+  let i = ix.Tree.first.(u) and j = ix.Tree.first.(v) in
+  let i, j = if i <= j then (i, j) else (j, i) in
+  let k = ix.Tree.elog2.(j - i + 1) in
+  let a = ix.Tree.sparse.((k * ix.Tree.elen) + i) in
+  let b = ix.Tree.sparse.((k * ix.Tree.elen) + j - (1 lsl k) + 1) in
+  ix.Tree.enode.(if ix.Tree.edep.(a) <= ix.Tree.edep.(b) then a else b)
 
 let depth fl v = fl.r.Tree.depth.(v)
 
@@ -58,15 +67,6 @@ let iter_path_to_root fl v f =
     f r.Tree.parent_edge.(!x);
     x := r.Tree.parent.(!x)
   done
-
-let fold_path_to_root fl v ~init ~f =
-  let r = fl.r in
-  let acc = ref init and x = ref v in
-  while !x <> r.Tree.root do
-    acc := f !acc r.Tree.parent_edge.(!x);
-    x := r.Tree.parent.(!x)
-  done;
-  !acc
 
 let iter_path fl (scratch : Scratch.t) u v f =
   if u <> v then begin
@@ -91,11 +91,6 @@ let iter_path fl (scratch : Scratch.t) u v f =
       f stack.(i)
     done
   end
-
-let fold_path fl scratch u v ~init ~f =
-  let acc = ref init in
-  iter_path fl scratch u v (fun e -> acc := f !acc e);
-  !acc
 
 let iter_path_unordered fl u v f =
   if u <> v then begin
@@ -134,8 +129,8 @@ let iter_steiner fl (scratch : Scratch.t) ~nodes f =
       acc.(parent.(v)) <- acc.(parent.(v)) + acc.(v)
     done;
     let total = !total in
-    (* Ascending preorder scan: the emission order of
-       [Tree.steiner_edges]. *)
+    (* Ascending preorder scan: edges leave in the preorder position of
+       their lower endpoint. *)
     let parent_edge = r.Tree.parent_edge in
     for i = 1 to fl.n - 1 do
       let v = pre.(i) in

@@ -3,11 +3,11 @@
     [Flat.t] packages the canonical {!Tree.rooted} arrays with the cached
     Euler-tour index ({!Tree.flat_index}) so the pipeline's inner loops —
     leaf→server path walks, Steiner-tree scans, subtree aggregations — run
-    over plain [int array]s with O(1) LCA and allocate nothing. All
-    iteration orders are bit-identical to the list-returning functions in
-    {!Tree} ([path_edges], [steiner_edges]), which is what lets the
-    per-object pipeline swap representations without changing a single
-    output.
+    over plain [int array]s with O(1) LCA and allocate nothing. This is
+    the one implementation of the tree's LCA, path and Steiner
+    primitives. Every iterator states its visiting order below; those
+    orders are part of the contract (the simulator's hop order depends on
+    them), so changing one changes outputs.
 
     Mutable state lives exclusively in {!Scratch.t} buffers. A scratch is
     single-owner: each domain (or each worker slot of an
@@ -55,11 +55,12 @@ end
 (** {1 O(1) queries} *)
 
 val lca : t -> int -> int -> int
-(** Lowest common ancestor on the canonical rooting; same node as
-    [Tree.lca (Tree.rooting tree)]. *)
+(** Lowest common ancestor on the canonical rooting, O(1) through the
+    Euler-tour sparse table. [c] is an ancestor-or-self of [v] iff
+    [lca fl v c = c]. *)
 
 val distance : t -> int -> int -> int
-(** Edge count of the [u]–[v] path; same integer as [Tree.path_length]. *)
+(** Edge count of the [u]–[v] path. *)
 
 val depth : t -> int -> int
 
@@ -71,16 +72,11 @@ val depth : t -> int -> int
 val iter_path_to_root : t -> int -> (int -> unit) -> unit
 (** Edges from [v] up to the canonical root, bottom-up. *)
 
-val fold_path_to_root : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
-
 val iter_path : t -> Scratch.t -> int -> int -> (int -> unit) -> unit
-(** [iter_path fl scratch u v f] visits the [u]–[v] path edges in exactly
-    [Tree.path_edges]'s traversal order: [u] up to the LCA, then LCA down
-    to [v] (the descent is replayed from [scratch.stack]). Empty when
+(** [iter_path fl scratch u v f] visits the [u]–[v] path edges in
+    traversal order: from [u] up to the LCA, then from the LCA down to
+    [v] (the descent is replayed from [scratch.stack]). Empty when
     [u = v]. *)
-
-val fold_path : t -> Scratch.t -> int -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Folding flavor of {!iter_path}, same order. *)
 
 val iter_path_unordered : t -> int -> int -> (int -> unit) -> unit
 (** Scratch-free variant visiting [u]→LCA then [v]→LCA, both bottom-up —
@@ -94,10 +90,10 @@ val iter_steiner : t -> Scratch.t -> nodes:((int -> unit) -> unit) -> (int -> un
 (** [iter_steiner fl scratch ~nodes f] visits the edges of the minimal
     subtree spanning the nodes produced by the [nodes] iterator
     (duplicates welcome; fewer than two distinct nodes yield no edges).
-    Edges are emitted in ascending preorder position of their lower
-    endpoint — bit-identical to [Tree.steiner_edges]'s order. O(n) time,
-    zero allocation: membership marks use [scratch.nstamp], counts use
-    [scratch.acc]. *)
+    Edges are emitted in ascending canonical preorder position of their
+    lower (child) endpoint, so a parent edge always precedes the edges
+    below it. O(n) time, zero allocation: membership marks use
+    [scratch.nstamp], counts use [scratch.acc]. *)
 
 (** {1 Nearest marked node} *)
 
@@ -127,4 +123,4 @@ val iter_nearest :
 val subtree_sums_into : t -> Scratch.t -> src:int array -> src_off:int -> unit
 (** Sums [src.(src_off + v)] over canonical subtrees into [scratch.acc]
     (valid until the scratch's next aggregation). Mirrors
-    [Tree.subtree_sums] on the canonical rooting. *)
+    {!Tree.subtree_sums} on the canonical rooting. *)

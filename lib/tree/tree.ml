@@ -41,7 +41,7 @@ type t = {
   bus_arr : int array;
   (* Built on first use. Writes of a fully-constructed record are atomic
      in OCaml, so a benign race between domains at most duplicates the
-     construction work (same pattern as the workload's view cache);
+     construction work (same pattern as the workload's flat cache);
      sequential phases force it before fanning out. *)
   mutable flat : flat_index option;
 }
@@ -220,70 +220,8 @@ let edge_towards_root r v =
   if v = r.root then invalid_arg "Tree.edge_towards_root: at the root"
   else r.parent_edge.(v)
 
-let lca r u v =
-  let u = ref u and v = ref v in
-  while r.depth.(!u) > r.depth.(!v) do u := r.parent.(!u) done;
-  while r.depth.(!v) > r.depth.(!u) do v := r.parent.(!v) done;
-  while !u <> !v do
-    u := r.parent.(!u);
-    v := r.parent.(!v)
-  done;
-  !u
-
-type lca_index = {
-  idepth : int array;
-  up : int array array; (* up.(k).(v) = 2^k-th ancestor (root maps to itself) *)
-}
-
-let lca_index r =
-  let n = Array.length r.parent in
-  let max_depth = Array.fold_left max 0 r.depth in
-  let levels =
-    let rec go k = if 1 lsl k > max_depth then k + 1 else go (k + 1) in
-    go 0
-  in
-  let up = Array.make levels [||] in
-  up.(0) <- Array.init n (fun v -> if r.parent.(v) < 0 then v else r.parent.(v));
-  for k = 1 to levels - 1 do
-    let prev = up.(k - 1) in
-    up.(k) <- Array.init n (fun v -> prev.(prev.(v)))
-  done;
-  { idepth = r.depth; up }
-
-let lca_fast ix u v =
-  let levels = Array.length ix.up in
-  let lift x delta =
-    let x = ref x and d = ref delta in
-    let k = ref 0 in
-    while !d > 0 do
-      if !d land 1 = 1 then x := ix.up.(!k).(!x);
-      d := !d lsr 1;
-      incr k
-    done;
-    !x
-  in
-  let du = ix.idepth.(u) and dv = ix.idepth.(v) in
-  let u = if du > dv then lift u (du - dv) else u in
-  let v = if dv > du then lift v (dv - du) else v in
-  if u = v then u
-  else begin
-    let u = ref u and v = ref v in
-    for k = levels - 1 downto 0 do
-      if ix.up.(k).(!u) <> ix.up.(k).(!v) then begin
-        u := ix.up.(k).(!u);
-        v := ix.up.(k).(!v)
-      end
-    done;
-    ix.up.(0).(!u)
-  end
-
-let distance ix u v =
-  ix.idepth.(u) + ix.idepth.(v) - (2 * ix.idepth.(lca_fast ix u v))
-
 (* Euler tour of the canonical rooting plus a sparse table of depth
-   minima: LCA(u, v) is the node of minimal depth between the first
-   occurrences of u and v on the tour, found in O(1) by overlapping the
-   two power-of-two windows covering the range. *)
+   minima over it: the index [Flat.lca] answers in O(1). *)
 let build_flat_index t =
   let r = t.canonical in
   let n = t.size in
@@ -349,33 +287,6 @@ let flat_index t =
     t.flat <- Some ix;
     ix
 
-let path_edges t u v =
-  let r = t.canonical in
-  let a = lca r u v in
-  let rec climb x acc =
-    if x = a then acc else climb r.parent.(x) (r.parent_edge.(x) :: acc)
-  in
-  let up = List.rev (climb u []) in
-  (* climb builds v->a in reverse; we need a->v order for the second half. *)
-  let down = climb v [] in
-  up @ down
-
-(* O(1) via the Euler-tour sparse table (the answer is the same node
-   [lca t.canonical] finds by walking parents, so the arithmetic is
-   unchanged — only the lookup cost drops). *)
-let lca_flat ix u v =
-  let i = ix.first.(u) and j = ix.first.(v) in
-  let i, j = if i <= j then (i, j) else (j, i) in
-  let k = ix.elog2.(j - i + 1) in
-  let a = ix.sparse.((k * ix.elen) + i) in
-  let b = ix.sparse.((k * ix.elen) + j - (1 lsl k) + 1) in
-  ix.enode.(if ix.edep.(a) <= ix.edep.(b) then a else b)
-
-let path_length t u v =
-  let r = t.canonical in
-  let a = lca_flat (flat_index t) u v in
-  r.depth.(u) + r.depth.(v) - (2 * r.depth.(a))
-
 let subtree_sums r w =
   let size = Array.length r.parent in
   let acc = Array.copy w in
@@ -396,32 +307,6 @@ let subtree_sums_into r ~src ~src_off ~dst =
     let p = r.parent.(v) in
     dst.(p) <- dst.(p) + dst.(v)
   done
-
-let steiner_edges t nodes =
-  match nodes with
-  | [] | [ _ ] -> []
-  | _ ->
-    let mark = Array.make t.size 0 in
-    let total = ref 0 in
-    List.iter
-      (fun v ->
-        if mark.(v) = 0 then begin
-          mark.(v) <- 1;
-          incr total
-        end)
-      nodes;
-    if !total < 2 then []
-    else begin
-      let r = t.canonical in
-      let counts = subtree_sums r mark in
-      let result = ref [] in
-      for i = Array.length r.preorder - 1 downto 1 do
-        let v = r.preorder.(i) in
-        if counts.(v) > 0 && counts.(v) < !total then
-          result := r.parent_edge.(v) :: !result
-      done;
-      !result
-    end
 
 let first_on_path r ~member v =
   let rec walk x =

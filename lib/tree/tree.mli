@@ -102,32 +102,7 @@ val edge_towards_root : rooted -> int -> int
 (** [edge_towards_root r v] is the edge from [v] to its parent;
     raises [Invalid_argument] at the root. *)
 
-(** {1 Paths and Steiner trees} *)
-
-val path_edges : t -> int -> int -> int list
-(** [path_edges t u v] are the edges of the unique path from [u] to [v]
-    in order of traversal (empty when [u = v]). Uses the canonical rooting. *)
-
-val path_length : t -> int -> int -> int
-
-val lca : rooted -> int -> int -> int
-(** Lowest common ancestor in the given rooting, by walking parent
-    pointers — O(depth) per query, no preprocessing. *)
-
-type lca_index
-(** Binary-lifting ancestor tables over one {!rooted} view: O(n log n)
-    preprocessing, O(log n) {!lca_fast}/{!distance} queries. Built by the
-    load-accounting engine so nearest-copy distances stop being linear
-    walks. *)
-
-val lca_index : rooted -> lca_index
-
-val lca_fast : lca_index -> int -> int -> int
-(** Same answer as {!lca} on the rooting the index was built from. *)
-
-val distance : lca_index -> int -> int -> int
-(** [distance ix u v] is the number of edges on the [u]–[v] path
-    (equals {!path_length} on the canonical rooting). *)
+(** {1 Flat index} *)
 
 (** Structure-of-arrays index over the {e canonical} rooting: preorder
     positions, the Euler tour, and a sparse table of depth minima giving
@@ -135,8 +110,8 @@ val distance : lca_index -> int -> int -> int
     benign construction race between domains duplicates work at worst;
     force it with {!flat_index} before fanning tasks out). This is the
     backing store of {!Hbn_tree.Flat}, which packages the arrays with
-    reusable scratch buffers and non-allocating path/Steiner kernels —
-    treat every array as read-only. *)
+    reusable scratch buffers and the tree's only LCA, path and Steiner
+    kernels — treat every array as read-only. *)
 type flat_index = {
   pos : int array;  (** preorder position of each node *)
   first : int array;  (** first occurrence of each node on the Euler tour *)
@@ -150,13 +125,7 @@ type flat_index = {
 val flat_index : t -> flat_index
 (** The cached index (constructed on first call). *)
 
-val lca_flat : flat_index -> int -> int -> int
-(** O(1) lowest common ancestor on the canonical rooting; same answer as
-    {!lca} on {!rooting}. *)
-
-val steiner_edges : t -> int list -> int list
-(** [steiner_edges t nodes] are the edges of the minimal subtree connecting
-    [nodes] (empty for fewer than two distinct nodes). *)
+(** {1 Walks} *)
 
 val first_on_path : rooted -> member:(int -> bool) -> int -> int option
 (** [first_on_path r ~member v] walks from [v] towards the root and returns

@@ -3,6 +3,7 @@
    alcotest/qcheck glue. *)
 
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Builders = Hbn_tree.Builders
 module Prng = Hbn_prng.Prng
 module Workload = Hbn_workload.Workload
@@ -108,3 +109,19 @@ let small_instance seed =
   let tree = small_tree prng in
   let w = small_workload prng tree in
   (tree, w)
+
+(* The flat path and Steiner kernels collected into lists, in visiting
+   order, for comparison with expected values and with [Tree_oracle]. *)
+let flat_path t u v =
+  let fl = Flat.of_tree t in
+  let acc = ref [] in
+  Flat.iter_path fl (Flat.Scratch.create fl) u v (fun e -> acc := e :: !acc);
+  List.rev !acc
+
+let flat_steiner t nodes =
+  let fl = Flat.of_tree t in
+  let acc = ref [] in
+  Flat.iter_steiner fl (Flat.Scratch.create fl)
+    ~nodes:(fun mark -> List.iter mark nodes)
+    (fun e -> acc := e :: !acc);
+  List.rev !acc

@@ -247,6 +247,34 @@ let test_save_load_roundtrip () =
 
 (* Every failure path must exit non-zero and say why on stderr. *)
 
+(* Stricter than [check_fails]: the exit status must be exactly 1 (an
+   uncaught exception exits 125) and the diagnostic must name the flag. *)
+let check_range_error name args flag =
+  match run_cli_merged args with
+  | None -> ()
+  | Some (status, out) ->
+    if status <> Unix.WEXITED 1 then
+      Alcotest.failf "%s: expected exit status 1\n%s" name out;
+    if contains out "internal error" then
+      Alcotest.failf "%s: uncaught exception\n%s" name out;
+    if not (contains out ("hbn_cli: " ^ flag ^ " must be >=")) then
+      Alcotest.failf "%s: no %s diagnostic\n%s" name flag out
+
+let test_range_errors_exit_1 () =
+  List.iter
+    (fun (args, flag) -> check_range_error (String.concat " " args) args flag)
+    [
+      ([ "place"; "--arity"; "1" ], "--arity");
+      ([ "place"; "--height"; "0" ], "--height");
+      ([ "place"; "--kind"; "star"; "--leaves"; "1" ], "--leaves");
+      ([ "place"; "--kind"; "caterpillar"; "--spine"; "0" ], "--spine");
+      ([ "place"; "--kind"; "random"; "--buses=0" ], "--buses");
+      ([ "place"; "--bandwidth"; "0" ], "--bandwidth");
+      ([ "place"; "--objects=-1" ], "--objects");
+      ([ "simulate"; "--scale"; "0" ], "--scale");
+      ([ "serve"; "--arity"; "1" ], "--arity");
+    ]
+
 let test_failures_exit_nonzero () =
   check_fails "topology bad load"
     [ "topology"; "--load"; "/nonexistent/nope.hbn" ]
@@ -501,6 +529,7 @@ let suite =
     Helpers.tc "cli explain deterministic" test_explain_deterministic;
     Helpers.tc "cli save/load round trip" test_save_load_roundtrip;
     Helpers.tc "cli failures exit non-zero" test_failures_exit_nonzero;
+    Helpers.tc "cli range errors exit 1 cleanly" test_range_errors_exit_1;
     Helpers.tc "cli place --trace --timings" test_place_trace_timings;
     Helpers.tc "cli --trace leaves stdout alone" test_place_trace_leaves_stdout_alone;
     Helpers.tc "cli report golden table" test_report_golden;

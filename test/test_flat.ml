@@ -1,7 +1,7 @@
-(* Tree.Flat: the structure-of-arrays hot path must agree bit-for-bit —
-   values *and* iteration orders — with the list-returning Tree functions
-   it replaced, on arbitrary trees, with one shared scratch to exercise
-   the stamp-based reuse discipline. *)
+(* Tree.Flat: the structure-of-arrays kernels must agree bit-for-bit —
+   values *and* iteration orders — with the naive list-returning
+   reference in [Tree_oracle], on arbitrary trees, with one shared
+   scratch to exercise the stamp-based reuse discipline. *)
 
 module Tree = Hbn_tree.Tree
 module Flat = Hbn_tree.Flat
@@ -11,25 +11,21 @@ module Workload = Hbn_workload.Workload
 let random_nodes prng tree k =
   Array.init k (fun _ -> Prng.int prng (Tree.n tree))
 
-(* LCA and distance against both the rooted walk and the O(log n) index. *)
+(* LCA and distance against the rooted parent walk. *)
 let prop_lca_distance_agree seed =
   let prng = Prng.create seed in
   let tree = Helpers.random_tree prng in
   let fl = Flat.of_tree tree in
   let r = Tree.rooting tree in
-  let lix = Tree.lca_index r in
   Array.for_all
     (fun u ->
       let v = Prng.int prng (Tree.n tree) in
-      let a = Tree.lca r u v in
-      Flat.lca fl u v = a
-      && Tree.lca_fast lix u v = a
-      && Flat.distance fl u v = Tree.distance lix u v
-      && Flat.distance fl u v = List.length (Tree.path_edges tree u v))
+      Flat.lca fl u v = Tree_oracle.lca r u v
+      && Flat.distance fl u v = Tree_oracle.path_length tree u v)
     (random_nodes prng tree 40)
 
-(* iter_path must replay Tree.path_edges's exact order (u up to the LCA,
-   then down to v); iter_path_unordered the same edge set. *)
+(* iter_path must replay the oracle's exact order (u up to the LCA, then
+   down to v); iter_path_unordered the same edge set. *)
 let prop_path_iteration_agrees seed =
   let prng = Prng.create seed in
   let tree = Helpers.random_tree prng in
@@ -38,17 +34,13 @@ let prop_path_iteration_agrees seed =
   Array.for_all
     (fun u ->
       let v = Prng.int prng (Tree.n tree) in
-      let want = Tree.path_edges tree u v in
+      let want = Tree_oracle.path_edges tree u v in
       let got = ref [] in
       Flat.iter_path fl scratch u v (fun e -> got := e :: !got);
       let unordered = ref [] in
       Flat.iter_path_unordered fl u v (fun e -> unordered := e :: !unordered);
-      let sum =
-        Flat.fold_path fl scratch u v ~init:0 ~f:(fun a e -> a + e)
-      in
       List.rev !got = want
-      && List.sort compare !unordered = List.sort compare want
-      && sum = List.fold_left ( + ) 0 want)
+      && List.sort compare !unordered = List.sort compare want)
     (random_nodes prng tree 30)
 
 let prop_path_to_root_agrees seed =
@@ -58,15 +50,13 @@ let prop_path_to_root_agrees seed =
   let root = (Tree.rooting tree).Tree.root in
   Array.for_all
     (fun v ->
-      let want = Tree.path_edges tree v root in
+      let want = Tree_oracle.path_edges tree v root in
       let got = ref [] in
       Flat.iter_path_to_root fl v (fun e -> got := e :: !got);
-      List.rev !got = want
-      && Flat.fold_path_to_root fl v ~init:[] ~f:(fun acc e -> e :: acc)
-         = List.rev want)
+      List.rev !got = want)
     (random_nodes prng tree 20)
 
-(* Steiner scans in Tree.steiner_edges's emission order, on random node
+(* Steiner scans in the oracle's emission order, on random node
    multisets (duplicates and singletons included on purpose). *)
 let prop_steiner_agrees seed =
   let prng = Prng.create seed in
@@ -80,7 +70,7 @@ let prop_steiner_agrees seed =
         List.init k (fun _ -> Prng.int prng (Tree.n tree))
       in
       let nodes = if Prng.int prng 3 = 0 then nodes @ nodes else nodes in
-      let want = Tree.steiner_edges tree nodes in
+      let want = Tree_oracle.steiner_edges tree nodes in
       let got = ref [] in
       Flat.iter_steiner fl scratch
         ~nodes:(fun mark -> List.iter mark nodes)
@@ -126,30 +116,91 @@ let prop_scratch_reuse_deterministic seed =
   in
   run (fun () -> shared) = run (fun () -> Flat.Scratch.create fl)
 
-(* The workload's flat rows against the boxed per-object views. *)
-let prop_workload_flat_agrees_with_views seed =
+(* The workload's flat rows against the per-node read/write rates. *)
+let prop_workload_flat_agrees_with_rates seed =
   let prng = Prng.create seed in
   let tree = Helpers.random_tree prng in
   let w = Helpers.random_workload prng tree in
   let f = Workload.flat w in
-  let n = Tree.n tree in
+  let nodes = List.init (Tree.n tree) Fun.id in
+  let sum g = List.fold_left (fun a v -> a + g v) 0 nodes in
   List.for_all
     (fun obj ->
-      let v = Workload.view w ~obj in
-      let row =
-        Array.init n (fun node -> Workload.Flat.weight f ~obj node)
-      in
+      let reads = Workload.reads w ~obj and writes = Workload.writes w ~obj in
       let req = ref [] in
       Workload.Flat.iter_requesting f ~obj (fun leaf -> req := leaf :: !req);
-      row = v.Workload.View.weights
-      && Workload.Flat.kappa f ~obj = v.Workload.View.kappa
-      && Workload.Flat.total_weight f ~obj = Workload.View.total_weight v
-      && Workload.Flat.num_requesting f ~obj
-         = List.length v.Workload.View.requesting
-      && List.rev !req = v.Workload.View.requesting)
+      let want_req = List.filter (fun v -> reads v + writes v > 0) nodes in
+      List.for_all
+        (fun v -> Workload.Flat.weight f ~obj v = reads v + writes v)
+        nodes
+      && Workload.weight_vector w ~obj
+         = Array.init (Tree.n tree) (fun v -> reads v + writes v)
+      && Workload.Flat.kappa f ~obj = sum writes
+      && Workload.Flat.total_weight f ~obj = sum reads + sum writes
+      && Workload.Flat.num_requesting f ~obj = List.length want_req
+      && List.rev !req = want_req)
     (List.init (Workload.num_objects w) Fun.id)
 
-(* Mutation invalidates the flat cache like it invalidates views. *)
+(* The kernels on a fixed mid-size instance (a4h4, 256 leaf pairs, 64
+   Steiner sets of 2-7 leaves), all through one shared scratch. The
+   Steiner sets double as copy sets for the nearest-node kernel, every
+   node a target, against the per-pair scan with ties to the lowest id. *)
+let test_bench_instance_agrees () =
+  let tree =
+    Hbn_tree.Builders.balanced ~arity:4 ~height:4
+      ~profile:(Hbn_tree.Builders.Uniform 2)
+  in
+  let fl = Flat.of_tree tree in
+  let prng = Prng.create 20260809 in
+  let leaves = Tree.leaves_array tree in
+  let nl = Array.length leaves in
+  let pairs =
+    Array.init 256 (fun _ ->
+        (leaves.(Prng.int prng nl), leaves.(Prng.int prng nl)))
+  in
+  let steiner_sets =
+    Array.init 64 (fun _ ->
+        List.init (2 + Prng.int prng 6) (fun _ -> leaves.(Prng.int prng nl)))
+  in
+  let r = Tree.rooting tree in
+  let scratch = Flat.Scratch.create fl in
+  Array.iter
+    (fun (u, v) ->
+      Alcotest.(check int) "lca" (Tree_oracle.lca r u v) (Flat.lca fl u v);
+      let path = ref [] in
+      Flat.iter_path fl scratch u v (fun e -> path := e :: !path);
+      Alcotest.(check (list int)) "path order"
+        (Tree_oracle.path_edges tree u v)
+        (List.rev !path))
+    pairs;
+  Array.iter
+    (fun nodes ->
+      let edges = ref [] in
+      Flat.iter_steiner fl scratch
+        ~nodes:(fun mark -> List.iter mark nodes)
+        (fun e -> edges := e :: !edges);
+      Alcotest.(check (list int)) "steiner order"
+        (Tree_oracle.steiner_edges tree nodes)
+        (List.rev !edges))
+    steiner_sets;
+  Array.iter
+    (fun nodes ->
+      let want v =
+        List.fold_left
+          (fun best c -> min best (Tree_oracle.path_length tree v c, c))
+          (max_int, max_int) nodes
+      in
+      Flat.iter_nearest fl scratch
+        ~nodes:(fun mark -> List.iter mark nodes)
+        ~targets:(fun visit ->
+          for v = 0 to Tree.n tree - 1 do
+            visit v
+          done)
+        (fun v c d ->
+          Alcotest.(check (pair int int)) "nearest" (want v) (d, c)))
+    steiner_sets
+
+(* Mutation invalidates the flat cache. *)
 let test_flat_invalidated_on_write () =
   let tree = Hbn_tree.Builders.star ~leaves:4 ~profile:(Hbn_tree.Builders.Uniform 1) in
   let w = Workload.empty tree ~objects:1 in
@@ -166,20 +217,22 @@ let test_flat_invalidated_on_write () =
 
 let suite =
   [
-    Helpers.qt ~count:60 "flat LCA/distance agree with rooted walk + index"
+    Helpers.qt ~count:60 "flat LCA/distance agree with rooted walk"
       Helpers.seed_arb prop_lca_distance_agree;
-    Helpers.qt ~count:60 "iter_path replays Tree.path_edges order"
+    Helpers.qt ~count:60 "iter_path replays the oracle's path order"
       Helpers.seed_arb prop_path_iteration_agrees;
     Helpers.qt ~count:40 "path-to-root iteration matches path_edges"
       Helpers.seed_arb prop_path_to_root_agrees;
-    Helpers.qt ~count:60 "iter_steiner replays Tree.steiner_edges order"
+    Helpers.qt ~count:60 "iter_steiner replays the oracle's Steiner order"
       Helpers.seed_arb prop_steiner_agrees;
     Helpers.qt ~count:40 "subtree_sums_into matches Tree.subtree_sums"
       Helpers.seed_arb prop_subtree_sums_agree;
     Helpers.qt ~count:40 "shared scratch gives fresh-buffer answers"
       Helpers.seed_arb prop_scratch_reuse_deterministic;
-    Helpers.qt ~count:60 "Workload.Flat rows agree with cached views"
-      Helpers.seed_arb prop_workload_flat_agrees_with_views;
+    Helpers.qt ~count:60 "Workload.Flat rows agree with reads/writes"
+      Helpers.seed_arb prop_workload_flat_agrees_with_rates;
+    Helpers.tc "bench instance agrees with the oracle (shared scratch)"
+      test_bench_instance_agrees;
     Helpers.tc "flat cache invalidated by set_read/set_write"
       test_flat_invalidated_on_write;
   ]

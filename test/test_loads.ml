@@ -164,14 +164,14 @@ let test_small_example () =
 let prop_lca_index_matches_walk seed =
   let tree, _ = Helpers.instance seed in
   let r = Tree.rooting tree in
-  let ix = Tree.lca_index r in
+  let fl = Hbn_tree.Flat.of_tree tree in
   let prng = Prng.create (seed + 5) in
   let n = Tree.n tree in
   List.for_all
     (fun _ ->
       let u = Prng.int prng n and v = Prng.int prng n in
-      Tree.lca_fast ix u v = Tree.lca r u v
-      && Tree.distance ix u v = Tree.path_length tree u v)
+      Hbn_tree.Flat.lca fl u v = Tree_oracle.lca r u v
+      && Hbn_tree.Flat.distance fl u v = Tree_oracle.path_length tree u v)
     (List.init 40 Fun.id)
 
 let prop_nearest_marked_matches_scan seed =
@@ -186,7 +186,7 @@ let prop_nearest_marked_matches_scan seed =
     let best = ref None in
     for u = n - 1 downto 0 do
       if marked.(u) then begin
-        let d = Tree.path_length tree v u in
+        let d = Tree_oracle.path_length tree v u in
         match !best with
         | Some (_, bd) when bd < d -> ()
         | Some (_, bd) when bd = d -> best := Some (u, d)

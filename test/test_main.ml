@@ -28,6 +28,7 @@ let () =
       ("baselines", Test_baselines.suite);
       ("event", Test_event.suite);
       ("sim", Test_sim.suite);
+      ("sim_golden", Test_sim_golden.suite);
       ("dist", Test_dist.suite);
       ("dynamic", Test_dynamic.suite);
       ("serve", Test_serve.suite);

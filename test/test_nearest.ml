@@ -26,7 +26,7 @@ let oracle_object w ~obj ~copies =
     let best = ref (-1) and best_d = ref max_int in
     List.iter
       (fun c ->
-        let d = Tree.path_length tree leaf c in
+        let d = Tree_oracle.path_length tree leaf c in
         if d < !best_d then begin
           best := c;
           best_d := d
@@ -123,7 +123,7 @@ let prop_kernel_matches_scan seed =
       let want v =
         List.fold_left
           (fun (bc, bd) c ->
-            let d = Tree.path_length tree v c in
+            let d = Tree_oracle.path_length tree v c in
             if d < bd || (d = bd && c < bc) then (c, d) else (bc, bd))
           (max_int, max_int) nodes
       in
@@ -167,7 +167,7 @@ let test_equidistant_lowest_id () =
     (List.hd p.(0).Placement.assigns).Placement.server
   in
   let tie name tree ~leaf a b =
-    let d = Tree.path_length tree leaf in
+    let d = Tree_oracle.path_length tree leaf in
     if d a <> d b then Alcotest.failf "%s: copies not equidistant" name;
     Alcotest.(check int) name (min a b) (server tree ~leaf [ a; b ]);
     Alcotest.(check int) (name ^ ", reversed") (min a b)
@@ -194,7 +194,7 @@ let test_equidistant_lowest_id () =
   in
   let leaves = Tree.leaves_array cat in
   let middle = leaves.(Array.length leaves / 2) in
-  let d = Tree.path_length cat middle in
+  let d = Tree_oracle.path_length cat middle in
   (match
      Array.to_list leaves
      |> List.filter (fun l -> l <> middle)

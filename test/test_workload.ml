@@ -54,7 +54,7 @@ let test_vectors_are_copies () =
   let t = star 2 in
   let w = Workload.empty t ~objects:1 in
   Workload.set_read w ~obj:0 1 4;
-  let v = Workload.read_vector w ~obj:0 in
+  let v = Workload.weight_vector w ~obj:0 in
   v.(1) <- 99;
   Alcotest.(check int) "copy" 4 (Workload.reads w ~obj:0 1);
   let wv = Workload.weight_vector w ~obj:0 in
