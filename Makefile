@@ -7,7 +7,7 @@
 
 .PHONY: all build test check bench bench-check bench-loads bench-parallel \
 	bench-faults bench-async bench-monitor bench-serve bench-micro \
-	bench-quick report-smoke serve-smoke clean
+	bench-quick report-smoke serve-smoke sim-smoke clean
 
 all: build
 
@@ -36,7 +36,9 @@ test:
 # itself (which must come back clean); the serve smoke replays the
 # adaptive-serving matrix contract (steady silent, hotspot recovered
 # within budget) and serve-smoke drives `hbn_cli serve` --record/--replay
-# end to end; bench-check re-runs the pipeline, fault, async, monitor
+# end to end; sim-smoke drives `hbn_cli simulate` the same way (tracing
+# leaves stdout alone, telemetry is deterministic, a vanishing link
+# latency completes); bench-check re-runs the pipeline, fault, async, monitor
 # and serve case matrices and diffs their deterministic fields
 # (telemetry series, detector hits, migration accounting) against the
 # committed BENCH_pipeline.json, BENCH_faults.json, BENCH_async.json,
@@ -56,6 +58,7 @@ check:
 	  && dune exec test/test_main.exe -- test exec \
 	  && $(MAKE) report-smoke \
 	  && $(MAKE) serve-smoke \
+	  && $(MAKE) sim-smoke \
 	  && $(MAKE) bench-check
 
 bench:
@@ -155,6 +158,32 @@ serve-smoke:
 	  /tmp/hbn_serve_smoke_tel_b.jsonl /tmp/hbn_serve_smoke_a.txt \
 	  /tmp/hbn_serve_smoke_b.txt /tmp/hbn_serve_smoke_c.txt
 	@echo "serve-smoke: replay, telemetry and --timings stdout identical; report ok"
+
+# Simulator CLI smoke on a balanced a4h3 zipf instance: with --timings
+# the stdout must be the plain run's followed by the phase table, two
+# --telemetry runs must write the same JSONL byte for byte, and a link
+# whose per-hop latency rounds to nothing against the tick time
+# (delay 0, bandwidth 1e17) must still complete.
+SIM_SMOKE = simulate --kind balanced --arity 4 --height 3 --workload zipf \
+	  --objects 16 --seed 7
+sim-smoke:
+	dune build bin/hbn_cli.exe
+	dune exec --no-build bin/hbn_cli.exe -- $(SIM_SMOKE) > /tmp/hbn_sim_smoke_a.txt
+	dune exec --no-build bin/hbn_cli.exe -- $(SIM_SMOKE) --timings \
+	  > /tmp/hbn_sim_smoke_b.txt
+	head -n "$$(wc -l < /tmp/hbn_sim_smoke_a.txt)" /tmp/hbn_sim_smoke_b.txt \
+	  | diff /tmp/hbn_sim_smoke_a.txt -
+	tail -n "+$$(($$(wc -l < /tmp/hbn_sim_smoke_a.txt) + 1))" \
+	  /tmp/hbn_sim_smoke_b.txt | grep -q "| phase"
+	dune exec --no-build bin/hbn_cli.exe -- $(SIM_SMOKE) \
+	  --telemetry /tmp/hbn_sim_smoke_tel_a.jsonl > /dev/null
+	dune exec --no-build bin/hbn_cli.exe -- $(SIM_SMOKE) \
+	  --telemetry /tmp/hbn_sim_smoke_tel_b.jsonl > /dev/null
+	cmp /tmp/hbn_sim_smoke_tel_a.jsonl /tmp/hbn_sim_smoke_tel_b.jsonl
+	dune exec --no-build bin/hbn_cli.exe -- $(SIM_SMOKE) --link 0:1e17 > /dev/null
+	rm -f /tmp/hbn_sim_smoke_a.txt /tmp/hbn_sim_smoke_b.txt \
+	  /tmp/hbn_sim_smoke_tel_a.jsonl /tmp/hbn_sim_smoke_tel_b.jsonl
+	@echo "sim-smoke: --timings stdout, telemetry and a vanishing link latency ok"
 
 # Bechamel timings of the Tree.Flat primitive kernels (path walks,
 # batched LCA, scratch reuse, nearest-node assignment) and the event

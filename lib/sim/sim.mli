@@ -118,8 +118,9 @@ val run :
 
     When {!Hbn_obs.Trace} is enabled the run is wrapped in a [sim.run]
     span, every round streams the [sim.queue_depth] and
-    [sim.round_transmissions] gauges (ready hops after the round;
-    hops delivered in it), a final ["sim.outcome"] event records
+    [sim.round_transmissions] gauges (the ready hops the round left
+    unserved plus the dependents its grants enabled, which are still in
+    flight; the hops granted in the round), a final ["sim.outcome"] event records
     makespan/packets/transmissions/dilation, and the [sim.packets] /
     [sim.transmissions] counters are bumped. Tracing never changes the
     simulated schedule. *)

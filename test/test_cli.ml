@@ -178,6 +178,24 @@ let test_simulate_link () =
     [ "link model: 1:8,1:2 (per level, root-down)"; "completion:";
       "virtual time"; "makespan:" ]
 
+(* A link whose per-hop latency rounds to nothing against the tick
+   time (delay 0, bandwidth 1e17) still completes: the dependents of a
+   hop wait for the next tick instead of the one already running. *)
+let test_simulate_link_vanishing_latency () =
+  List.iter
+    (fun spec ->
+      match
+        run_cli_merged
+          [ "simulate"; "--kind"; "balanced"; "--arity"; "2"; "--height"; "2";
+            "--objects"; "3"; "--link"; spec ]
+      with
+      | None -> ()
+      | Some (Unix.WEXITED 0, out) ->
+        if not (contains out "makespan:") then
+          Alcotest.failf "--link %s: no makespan line:\n%s" spec out
+      | Some (_, out) -> Alcotest.failf "--link %s: non-zero exit\n%s" spec out)
+    [ "0:1e17"; "0:1e300" ]
+
 let test_simulate_link_bad_spec () =
   (* Malformed specs die with the clause index and character offset so
      the user can point at the offending token. *)
@@ -542,4 +560,6 @@ let suite =
     Helpers.tc "cli simulate --telemetry health verdicts"
       test_simulate_health_verdicts;
     Helpers.tc "cli --trace to chrome trace-event JSON" test_trace_to_chrome;
+    Helpers.tc "cli simulate --link with vanishing latency"
+      test_simulate_link_vanishing_latency;
   ]

@@ -252,6 +252,19 @@ let test_asymmetry_moves_completion () =
   Alcotest.(check bool) "completion differs" true
     (top_slow.Sim.completion <> bottom_slow.Sim.completion)
 
+(* A latency that vanishes against the tick time ([now + 1e-17 = now])
+   must still move the dependents to the next tick: the run completes
+   with the same traffic as the synchronous one. *)
+let test_vanishing_latency_link () =
+  let _, w = Helpers.instance 7 in
+  let p = (Strategy.run w).Strategy.placement in
+  let a = Sim.run ~link:Link.sync w p in
+  let b = Sim.run ~link:(Link.v [| (0., 1e17) |]) w p in
+  Alcotest.(check int) "packets" a.Sim.packets b.Sim.packets;
+  Alcotest.(check int) "transmissions" a.Sim.transmissions b.Sim.transmissions;
+  Alcotest.(check (array int)) "traffic" a.Sim.edge_traffic b.Sim.edge_traffic;
+  Alcotest.(check int) "dilation" a.Sim.max_dilation b.Sim.max_dilation
+
 let async_suite =
   [
     Helpers.tc "bus capacity: the 2·b(B) cap permits full pipelining"
@@ -262,6 +275,147 @@ let async_suite =
       Helpers.seed_arb prop_slow_link_preserves_traffic;
     Helpers.tc "bandwidth asymmetry moves completion only"
       test_asymmetry_moves_completion;
+    Helpers.tc "a vanishing link latency completes" test_vanishing_latency_link;
   ]
 
-let suite = suite @ policy_suite @ async_suite
+(* --- differential oracle ------------------------------------------------ *)
+
+module Trace = Hbn_obs.Trace
+module Sink = Hbn_obs.Sink
+module Baselines = Hbn_baselines.Baselines
+
+(* Small trees covering the degenerate shapes: a lone processor (no
+   edges at all), a star, a bus chain, a deep caterpillar, a balanced
+   tree and a random one. *)
+let oracle_tree prng = function
+  | 0 ->
+    ( "single-leaf",
+      Tree.make ~kinds:[| Tree.Processor |] ~edges:[]
+        ~bus_bandwidth:(fun _ -> 1)
+        () )
+  | 1 -> ("star", Builders.star ~leaves:(Prng.int_in prng 2 7) ~profile:(Builders.Uniform 2))
+  | 2 ->
+    ( "path",
+      Tree.make
+        ~kinds:[| Tree.Processor; Tree.Bus; Tree.Bus; Tree.Bus; Tree.Processor |]
+        ~edges:[ (0, 1, 1); (1, 2, 2); (2, 3, 1); (3, 4, 1) ]
+        ~bus_bandwidth:(fun _ -> 1)
+        () )
+  | 3 ->
+    ( "deep-caterpillar",
+      Builders.caterpillar ~spine:8 ~leaves_per_bus:1
+        ~profile:(Builders.Uniform 1) )
+  | 4 ->
+    ( "balanced",
+      Builders.balanced ~arity:(Prng.int_in prng 2 3) ~height:2
+        ~profile:(Builders.Scaled_by_subtree 1) )
+  | _ -> ("random", Helpers.random_tree prng)
+
+(* Three spread copies per object, and for object 0 one more on the
+   deepest bus, so some write broadcasts start mid-tree. *)
+let multi_copy tree w =
+  let leaves = Tree.leaves_array tree in
+  let nl = Array.length leaves in
+  let r = Tree.rooting tree in
+  let deep_bus =
+    List.fold_left
+      (fun best b ->
+        match best with
+        | Some d when r.Tree.depth.(d) >= r.Tree.depth.(b) -> best
+        | _ -> Some b)
+      None (Tree.buses tree)
+  in
+  Placement.nearest w
+    ~copies:
+      (Array.init (Workload.num_objects w) (fun x ->
+           let picks =
+             [ leaves.(x mod nl); leaves.(((nl / 2) + x) mod nl);
+               leaves.(nl - 1 - (x mod nl)) ]
+           in
+           let picks =
+             match deep_bus with
+             | Some b when x = 0 -> b :: picks
+             | _ -> picks
+           in
+           List.sort_uniq compare picks))
+
+let oracle_links =
+  [ ("none", None); ("sync", Some Link.sync) ]
+  @ List.map
+      (fun s ->
+        match Link.of_spec s with
+        | Ok c -> (s, Some c)
+        | Error e -> failwith e)
+      [ "1:2,0.5:inf"; "0.3:0.7"; "1:2.5,2:1.5" ]
+
+(* One run under an in-memory trace sink and a telemetry collector:
+   the outcome, the per-round series and the scheduler's gauges. *)
+let observe run tree =
+  let tel = Telemetry.create ~num_edges:(Tree.num_edges tree) () in
+  let sink, read = Sink.memory () in
+  let out = Trace.with_sink sink (fun () -> run tel) in
+  let gauges =
+    List.filter_map
+      (fun (ev : Sink.event) ->
+        match ev.Sink.payload with
+        | Sink.Gauge { value } -> Some (ev.Sink.name, value)
+        | _ -> None)
+      (read ())
+  in
+  (out, Telemetry.points tel, gauges)
+
+let prop_matches_oracle seed =
+  let prng = Prng.create seed in
+  let tname, tree = oracle_tree prng (seed mod 6) in
+  let w = Helpers.random_workload prng tree in
+  let placements =
+    [ ("multi-copy", multi_copy tree w);
+      ("full", Baselines.full_replication w) ]
+  in
+  List.for_all
+    (fun (pname, p) ->
+      List.for_all
+        (fun policy ->
+          List.for_all
+            (fun (lname, link) ->
+              List.for_all
+                (fun scale ->
+                  let a, ta, ga =
+                    observe
+                      (fun telemetry -> Sim.run ~scale ~policy ~telemetry ?link w p)
+                      tree
+                  and b, tb, gb =
+                    (* The oracle cannot attach a link to a tree without
+                       edges; with no hops the link changes nothing. *)
+                    let link = if Tree.num_edges tree = 0 then None else link in
+                    observe
+                      (fun telemetry ->
+                        Sim_oracle.run ~scale ~policy ~telemetry ?link w p)
+                      tree
+                  in
+                  let same =
+                    Printf.sprintf "%h" a.Sim.completion
+                    = Printf.sprintf "%h" b.Sim.completion
+                    && { a with Sim.completion = 0. }
+                       = { b with Sim.completion = 0. }
+                    && ta = tb && ga = gb
+                  in
+                  if not same then
+                    QCheck.Test.fail_reportf
+                      "%s/%s/%s/scale %d: makespan %d vs oracle %d, %d vs %d \
+                       gauges"
+                      tname pname lname scale a.Sim.makespan b.Sim.makespan
+                      (List.length ga) (List.length gb);
+                  true)
+                [ 1; 4 ])
+            oracle_links)
+        [ Sim.Fifo; Sim.Round_robin; Sim.Reversed ])
+    placements
+
+let oracle_suite =
+  [
+    Helpers.qt ~count:36 "scheduler matches the list oracle" Helpers.seed_arb
+      prop_matches_oracle;
+  ]
+
+let suite = suite @ policy_suite @ async_suite @ oracle_suite
