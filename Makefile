@@ -5,7 +5,7 @@
 # this repo pins does not ship ocamlformat. If you have it installed,
 # `ocamlformat --enable-outside-detected-project` matches the style.
 
-.PHONY: all build test check bench bench-check bench-loads bench-parallel \
+.PHONY: all build test check bench bench-check bench-parallel \
 	bench-faults bench-async bench-monitor bench-serve bench-micro \
 	bench-quick report-smoke serve-smoke sim-smoke clean
 
@@ -17,12 +17,12 @@ build:
 test:
 	dune runtest
 
-# The one-stop gate: what CI (and reviewers) run. The loads smoke run
-# cross-checks the incremental engine against the from-scratch climb on
-# a small instance; the parallel smoke run checks that the strategy is
-# bit-identical at 1, 2 and 4 domains; the faults smoke runs the
-# hardened distributed protocol under a seeded drop/crash/cut plan and
-# requires recovery (no JSON written by any of the three); the async
+# The one-stop gate: what CI (and reviewers) run. `dune runtest`
+# includes the incremental hill climb's agreement with the from-scratch
+# climb (test/test_baselines.ml); the parallel smoke run checks that the
+# strategy is bit-identical at 1, 2 and 4 domains; the faults smoke runs
+# the hardened distributed protocol under a seeded drop/crash/cut plan
+# and requires recovery (no JSON written by either); the async
 # smoke simulates one topology synchronously and on a slow lower tier
 # and requires completion to rise while the traffic stays pinned; the
 # simulate --faults/--link line exercises the same machinery end to end
@@ -38,14 +38,11 @@ test:
 # within budget) and serve-smoke drives `hbn_cli serve` --record/--replay
 # end to end; sim-smoke drives `hbn_cli simulate` the same way (tracing
 # leaves stdout alone, telemetry is deterministic, a vanishing link
-# latency completes); bench-check re-runs the pipeline, fault, async, monitor
-# and serve case matrices and diffs their deterministic fields
-# (telemetry series, detector hits, migration accounting) against the
-# committed BENCH_pipeline.json, BENCH_faults.json, BENCH_async.json,
-# BENCH_monitor.json and BENCH_serve.json, and validates the
-# chunk-scheduling fields of BENCH_parallel.json.
+# latency completes); bench-check re-runs the case matrix behind every
+# committed BENCH_*.json and diffs the file against it, then proves the
+# gate can fail.
 check:
-	dune build && dune runtest && dune exec bench/loads.exe -- --smoke \
+	dune build && dune runtest \
 	  && dune exec bench/parallel.exe -- --smoke \
 	  && $(MAKE) bench-quick \
 	  && dune exec bench/faults.exe -- --smoke \
@@ -64,13 +61,22 @@ check:
 bench:
 	dune exec bench/pipeline.exe
 
-# Fails (exit 1) if the deterministic fields of a fresh pipeline,
-# fault-recovery, async or drift-detection run — congestion, makespan,
-# counters, instance shape, retransmission/fault accounting, detector
-# hits — diverge from the committed BENCH_*.json baselines. Timings and
-# the meta header are ignored.
+# Fails (exit 1) if a fresh run of any case matrix diverges from its
+# committed BENCH_*.json (every file holds deterministic fields only;
+# the meta header is ignored); each divergence is reported by JSON path.
+# Then runs the checker on a copy of BENCH_serve.json with one value
+# altered and requires exit 1 and a message naming that value's path.
+BENCH_CHECK_BAD = /tmp/hbn_bench_check_bad.json
 bench-check:
 	dune exec bench/check.exe
+	sed 's/"workload":"steady","epochs":32/"workload":"steady","epochs":33/' \
+	  BENCH_serve.json > $(BENCH_CHECK_BAD)
+	status=0; dune exec --no-build bench/check.exe -- $(BENCH_CHECK_BAD) \
+	  2> $(BENCH_CHECK_BAD).err || status=$$?; \
+	  grep -q 'cases\[0\]\.epochs 33 (baseline) <> 32 (fresh)' \
+	    $(BENCH_CHECK_BAD).err && test $$status -eq 1; \
+	  ok=$$?; rm -f $(BENCH_CHECK_BAD) $(BENCH_CHECK_BAD).err; test $$ok -eq 0
+	@echo "bench-check: an altered BENCH_serve.json fails the gate by path"
 
 # Fault-injection recovery profile of the hardened distributed nibble
 # under seeded drop/crash/cut plans; writes BENCH_faults.json.
@@ -196,13 +202,9 @@ bench-micro:
 bench-quick:
 	dune exec bench/micro_main.exe -- --smoke
 
-# Scratch vs incremental hill-climb throughput; writes BENCH_loads.json.
-bench-loads:
-	dune exec bench/loads.exe
-
-# Domain-scaling of the per-object pipeline at --jobs 1/2/4; writes
-# BENCH_parallel.json (speedups are only meaningful on a multicore host;
-# the JSON records the detected core count).
+# Domain-scaling of the per-object pipeline at --jobs 1/2/4: prints wall
+# times and speedups (only meaningful on a multicore host) and writes the
+# chunk-scheduling rows to BENCH_parallel.json.
 bench-parallel:
 	dune exec bench/parallel.exe
 

@@ -4,7 +4,7 @@
    Replays the Async_cases matrix — the same workload and placement per
    topology, simulated once per per-level link model — and records the
    deterministic schedule profile per case. bench/check.exe diffs those
-   fields against the committed file.
+   cases against the committed file.
 
    The matrix is self-validating (Async_cases.validate_group): traffic
    fields must not vary with the link, Link.sync must reproduce the
@@ -55,16 +55,8 @@ let () =
   end
   else begin
     let cases = AC.all () in
-    let oc = open_out "BENCH_async.json" in
-    output_string oc (Meta.header ~schema:AC.schema);
-    output_string oc " \"cases\":[\n";
-    List.iteri
-      (fun i c ->
-        if i > 0 then output_string oc ",\n";
-        output_string oc (AC.json_of_case c))
-      cases;
-    output_string oc "\n]}\n";
-    close_out oc;
+    Meta.write ~path:"BENCH_async.json" ~schema:AC.schema
+      (List.map AC.to_json cases);
     Printf.printf "bench/async: wrote BENCH_async.json (%d cases)\n"
       (List.length cases);
     List.iter

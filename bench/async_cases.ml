@@ -20,6 +20,7 @@ module Placement = Hbn_placement.Placement
 module Strategy = Hbn_core.Strategy
 module Sim = Hbn_sim.Sim
 module Link = Hbn_event.Link
+module Json = Hbn_obs.Json
 
 let schema = "hbn.bench.async/v1"
 let seed = 20260808
@@ -124,10 +125,19 @@ let all () =
       cases)
     (topologies ())
 
-let json_of_case c =
-  Printf.sprintf
-    "    {\"topology\":%S,\"link\":%S,\"makespan\":%d,\"completion\":%.3f,\
-     \"packets\":%d,\"transmissions\":%d,\"congestion\":%.3f,\
-     \"max_dilation\":%d}"
-    c.topology c.link c.makespan c.completion c.packets c.transmissions
-    c.congestion c.max_dilation
+(* The JSON keys of a case, named here only; the writer and
+   bench/check.exe both go through this function. *)
+let to_json c =
+  Json.Obj
+    [
+      ("topology", Json.Str c.topology);
+      ("link", Json.Str c.link);
+      ("makespan", Json.Int c.makespan);
+      ("completion", Json.Float c.completion);
+      ("packets", Json.Int c.packets);
+      ("transmissions", Json.Int c.transmissions);
+      ("congestion", Json.Float c.congestion);
+      ("max_dilation", Json.Int c.max_dilation);
+    ]
+
+let cases () = List.map to_json (all ())

@@ -1,385 +1,108 @@
 (* Regression gate over the committed baselines.
 
-   Run with:
-     dune exec bench/check.exe \
-       [-- PIPELINE.json [FAULTS.json [PARALLEL.json [ASYNC.json
-            [MONITOR.json [SERVE.json]]]]]]
-   Re-runs the Pipeline_cases matrix and compares every deterministic
-   field — instance shape, congestion, makespan, pipeline counters —
-   against the committed BENCH_pipeline.json. Wall times ("phases"
-   totals) and the environment header ("meta") are noise and are
-   ignored, but phase names and call counts are behaviour, so they are
-   checked too. Then re-runs the Fault_cases matrix the same way against
-   BENCH_faults.json (the "micro" wall-clock note is ignored), and
-   statically validates BENCH_parallel.json's deterministic fields
-   (schema, the identical flag, chunk-scheduling arithmetic), re-runs
-   the Async_cases matrix — the same traffic simulated under each
-   per-level link model — against BENCH_async.json, and re-runs the
-   Monitor_cases matrix — synthetic drift workloads through the
-   streaming detectors — against BENCH_monitor.json (the "micro"
-   wall-clock note is ignored), and re-runs the Serve_cases matrix —
-   the drift generators through the epoch-based adaptive serving
-   tier — against BENCH_serve.json. Exits 1 listing every divergence:
-   a diff here means a code change altered what the pipeline (or the
-   fault recovery, the drift detection, or the serving adaptation)
-   computes, not just how fast. *)
+   Run with:  dune exec bench/check.exe [-- FILE.json ...]
+   With no arguments it checks every BENCH_*.json listed below. Each
+   file's "schema" picks the case matrix that wrote it; the matrix is
+   re-run and the file, minus its "meta" header, is diffed structurally
+   against {"schema", "cases"} of the fresh run. Values compare exactly
+   through the writers' rendering (floats at %.3f). Every divergence — a
+   changed value, a missing or extra key, a different case count — is
+   reported by its JSON path, and the gate exits 1: a code change
+   altered what the code computes, not just how fast. This file names no
+   bench field; a field added to a *_cases module is checked as is. *)
 
 module Json = Hbn_obs.Json
-module PC = Pipeline_cases
-module FC = Fault_cases
-module AC = Async_cases
-module MC = Monitor_cases
-module SC = Serve_cases
+
+let matrices =
+  [
+    (Pipeline_cases.schema, "BENCH_pipeline.json", Pipeline_cases.cases);
+    (Fault_cases.schema, "BENCH_faults.json", Fault_cases.cases);
+    (Parallel_cases.schema, "BENCH_parallel.json", Parallel_cases.cases);
+    (Async_cases.schema, "BENCH_async.json", Async_cases.cases);
+    (Monitor_cases.schema, "BENCH_monitor.json", Monitor_cases.cases);
+    (Serve_cases.schema, "BENCH_serve.json", Serve_cases.cases);
+  ]
 
 let failures = ref 0
 
-let fail fmt =
+let fail file fmt =
   Printf.ksprintf
     (fun msg ->
       incr failures;
-      Printf.eprintf "bench/check: %s\n" msg)
+      Printf.eprintf "bench/check: %s: %s\n" file msg)
     fmt
 
-let get name conv j =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> v
-  | None -> raise (Json.Parse (Printf.sprintf "missing or mistyped %S" name))
-
-(* Committed congestion went through %.3f; render the fresh value the
-   same way so the comparison is exact, not epsilon-based. *)
-let fmt_congestion c = Printf.sprintf "%.3f" c
-
-let check_case baseline fresh =
-  let label = Printf.sprintf "%s/%s" fresh.PC.topology fresh.PC.workload in
-  let want_str name v = get name Json.to_string baseline = v in
-  if not (want_str "topology" fresh.PC.topology)
-     || not (want_str "workload" fresh.PC.workload)
-  then
-    fail "case order diverged at %s (baseline has %s/%s)" label
-      (get "topology" Json.to_string baseline)
-      (get "workload" Json.to_string baseline)
-  else begin
-    let check_int name v =
-      let b = get name Json.to_int baseline in
-      if b <> v then fail "%s: %s %d (baseline) <> %d (fresh)" label name b v
-    in
-    check_int "nodes" fresh.PC.nodes;
-    check_int "leaves" fresh.PC.leaves;
-    check_int "objects" fresh.PC.objects;
-    check_int "requests" fresh.PC.requests;
-    check_int "makespan" fresh.PC.makespan;
-    let b_congestion =
-      fmt_congestion (get "congestion" Json.to_float baseline)
-    in
-    let f_congestion = fmt_congestion fresh.PC.congestion in
-    if b_congestion <> f_congestion then
-      fail "%s: congestion %s (baseline) <> %s (fresh)" label b_congestion
-        f_congestion;
-    (* Counters: exact same name set and totals. *)
-    let b_counters =
-      match Json.member "counters" baseline with
-      | Some (Json.Obj kvs) ->
-        List.map
-          (fun (k, v) ->
-            match Json.to_int v with
-            | Some n -> (k, n)
-            | None -> raise (Json.Parse ("counter " ^ k ^ " not an int")))
-          kvs
-        |> List.sort compare
-      | _ -> raise (Json.Parse "missing counters object")
-    in
-    if b_counters <> fresh.PC.counters then begin
-      let show kvs =
-        String.concat ", "
-          (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) kvs)
-      in
-      fail "%s: counters {%s} (baseline) <> {%s} (fresh)" label
-        (show b_counters)
-        (show fresh.PC.counters)
-    end;
-    (* Phase names and call counts are deterministic; durations are not. *)
-    let b_phases =
-      match Json.member "phases" baseline with
-      | Some (Json.Obj kvs) ->
-        List.map (fun (k, v) -> (k, get "calls" Json.to_int v)) kvs
-      | _ -> raise (Json.Parse "missing phases object")
-    in
-    let f_phases =
-      List.map (fun (name, calls, _ns) -> (name, calls)) fresh.PC.phases
-    in
-    if List.sort compare b_phases <> List.sort compare f_phases then
-      fail "%s: phase names/call counts diverged from baseline" label
-  end
-
-(* Fault-recovery baseline: every field of a case is deterministic, so
-   the comparison is exact (congestion through the same %.3f the writer
-   used). *)
-let check_fault_case baseline fresh =
-  let label = Printf.sprintf "%s under %s" fresh.FC.topology fresh.FC.plan in
-  if
-    get "topology" Json.to_string baseline <> fresh.FC.topology
-    || get "plan" Json.to_string baseline <> fresh.FC.plan
-  then
-    fail "fault case order diverged at %s (baseline has %s under %s)" label
-      (get "topology" Json.to_string baseline)
-      (get "plan" Json.to_string baseline)
-  else begin
-    let check_str name v =
-      let b = get name Json.to_string baseline in
-      if b <> v then fail "%s: %s %S (baseline) <> %S (fresh)" label name b v
-    in
-    let check_int name v =
-      let b = get name Json.to_int baseline in
-      if b <> v then fail "%s: %s %d (baseline) <> %d (fresh)" label name b v
-    in
-    check_str "outcome" fresh.FC.outcome;
-    check_int "rounds" fresh.FC.rounds;
-    check_int "messages" fresh.FC.messages;
-    check_int "retransmissions" fresh.FC.retransmissions;
-    check_int "duplicates" fresh.FC.duplicates;
-    check_int "pure_acks" fresh.FC.pure_acks;
-    check_int "fault_events" fresh.FC.fault_events;
-    check_int "dropped" fresh.FC.dropped;
-    check_int "undecided" fresh.FC.undecided;
-    check_int "tel_points" fresh.FC.tel_points;
-    check_int "tel_sent" fresh.FC.tel_sent;
-    check_int "tel_bytes" fresh.FC.tel_bytes;
-    check_int "tel_peak_sent" fresh.FC.tel_peak_sent;
-    let b_congestion = fmt_congestion (get "congestion" Json.to_float baseline) in
-    let f_congestion = fmt_congestion fresh.FC.congestion in
-    if b_congestion <> f_congestion then
-      fail "%s: congestion %s (baseline) <> %s (fresh)" label b_congestion
-        f_congestion
-  end
-
-(* Async-simulation baseline: every field is deterministic (the event
-   engine is bit-identical across reruns); floats went through the
-   writer's %.3f, so render the fresh values the same way and compare
-   exactly. *)
-let check_async_case baseline fresh =
-  let label = Printf.sprintf "%s over %s" fresh.AC.topology fresh.AC.link in
-  if
-    get "topology" Json.to_string baseline <> fresh.AC.topology
-    || get "link" Json.to_string baseline <> fresh.AC.link
-  then
-    fail "async case order diverged at %s (baseline has %s over %s)" label
-      (get "topology" Json.to_string baseline)
-      (get "link" Json.to_string baseline)
-  else begin
-    let check_int name v =
-      let b = get name Json.to_int baseline in
-      if b <> v then fail "%s: %s %d (baseline) <> %d (fresh)" label name b v
-    in
-    let check_float name v =
-      let b = fmt_congestion (get name Json.to_float baseline) in
-      let f = fmt_congestion v in
-      if b <> f then fail "%s: %s %s (baseline) <> %s (fresh)" label name b f
-    in
-    check_int "makespan" fresh.AC.makespan;
-    check_int "packets" fresh.AC.packets;
-    check_int "transmissions" fresh.AC.transmissions;
-    check_int "max_dilation" fresh.AC.max_dilation;
-    check_float "completion" fresh.AC.completion;
-    check_float "congestion" fresh.AC.congestion
-  end
-
-(* Drift-detection baseline: the synthetic workloads, the jitter hash
-   and the detectors are all deterministic, so every field compares
-   exactly (the estimator floats through the writer's %.3f). *)
-let check_monitor_case baseline fresh =
-  let label = fresh.MC.workload in
-  if get "workload" Json.to_string baseline <> fresh.MC.workload then
-    fail "monitor case order diverged at %s (baseline has %s)" label
-      (get "workload" Json.to_string baseline)
-  else begin
-    let check_int name v =
-      let b = get name Json.to_int baseline in
-      if b <> v then fail "%s: %s %d (baseline) <> %d (fresh)" label name b v
-    in
-    let check_float name v =
-      let b = fmt_congestion (get name Json.to_float baseline) in
-      let f = fmt_congestion v in
-      if b <> f then fail "%s: %s %s (baseline) <> %s (fresh)" label name b f
-    in
-    check_int "rounds" fresh.MC.rounds;
-    check_int "points" fresh.MC.points;
-    check_int "alerts" fresh.MC.alerts;
-    check_int "cusum_alerts" fresh.MC.cusum_alerts;
-    check_int "ph_alerts" fresh.MC.ph_alerts;
-    check_int "first_alert_round" fresh.MC.first_alert_round;
-    let b_verdict = get "verdict" Json.to_string baseline in
-    if b_verdict <> fresh.MC.verdict then
-      fail "%s: verdict %S (baseline) <> %S (fresh)" label b_verdict
-        fresh.MC.verdict;
-    check_float "sent_p50" fresh.MC.sent_p50;
-    check_float "sent_p95" fresh.MC.sent_p95;
-    check_float "sent_mean" fresh.MC.sent_mean
-  end
-
-(* Serving-tier baseline: generators, epoch arithmetic, the climb PRNG
-   and the hysteresis gate are all deterministic, so every field
-   compares exactly (floats through the writer's %.3f). *)
-let check_serve_case baseline fresh =
-  let label = fresh.SC.workload in
-  if get "workload" Json.to_string baseline <> fresh.SC.workload then
-    fail "serve case order diverged at %s (baseline has %s)" label
-      (get "workload" Json.to_string baseline)
-  else begin
-    let check_int name v =
-      let b = get name Json.to_int baseline in
-      if b <> v then fail "%s: %s %d (baseline) <> %d (fresh)" label name b v
-    in
-    let check_float name v =
-      let b = fmt_congestion (get name Json.to_float baseline) in
-      let f = fmt_congestion v in
-      if b <> f then fail "%s: %s %s (baseline) <> %s (fresh)" label name b f
-    in
-    check_int "epochs" fresh.SC.epochs;
-    check_int "requests" fresh.SC.requests;
-    check_int "alerts" fresh.SC.alerts;
-    check_int "reoptimized" fresh.SC.reoptimized;
-    check_int "bytes_migrated" fresh.SC.bytes_migrated;
-    check_int "max_epoch_bytes" fresh.SC.max_epoch_bytes;
-    (match Json.member "budget_ok" baseline with
-    | Some (Json.Bool b) ->
-      if b <> fresh.SC.budget_ok then
-        fail "%s: budget_ok %b (baseline) <> %b (fresh)" label b
-          fresh.SC.budget_ok
-    | _ -> fail "%s: missing budget_ok" label);
-    check_int "replications" fresh.SC.replications;
-    check_int "migrations" fresh.SC.migrations;
-    check_int "contractions" fresh.SC.contractions;
-    let b_verdict = get "verdict" Json.to_string baseline in
-    if b_verdict <> fresh.SC.verdict then
-      fail "%s: verdict %S (baseline) <> %S (fresh)" label b_verdict
-        fresh.SC.verdict;
-    check_float "mean_serve" fresh.SC.mean_serve;
-    check_float "mean_stale" fresh.SC.mean_stale;
-    check_float "mean_oracle" fresh.SC.mean_oracle;
-    check_float "recovered" fresh.SC.recovered
-  end
-
-let load_doc ~path ~schema =
-  let doc =
-    match In_channel.with_open_text path In_channel.input_all with
-    | text -> (
-      match Json.parse_result text with
-      | Ok doc -> doc
-      | Error m ->
-        Printf.eprintf "bench/check: cannot parse %s: %s\n" path m;
-        exit 1)
-    | exception Sys_error m ->
-      Printf.eprintf "bench/check: cannot read baseline: %s\n" m;
-      exit 1
-  in
-  (match Json.member "schema" doc with
-  | Some (Json.Str s) when s = schema -> ()
+(* Object members pair up by key (member order is not a claim), list
+   elements by position; any other pair must render identically. *)
+let rec diff file path baseline fresh =
+  match (baseline, fresh) with
+  | Json.Obj b, Json.Obj f ->
+    let at k = if path = "" then k else path ^ "." ^ k in
+    List.iter
+      (fun (k, bv) ->
+        match List.assoc_opt k f with
+        | Some fv -> diff file (at k) bv fv
+        | None ->
+          fail file "%s missing from fresh (baseline: %s)" (at k)
+            (Meta.render bv))
+      b;
+    List.iter
+      (fun (k, fv) ->
+        if not (List.mem_assoc k b) then
+          fail file "%s missing from baseline (fresh: %s)" (at k)
+            (Meta.render fv))
+      f
+  | Json.List b, Json.List f ->
+    let nb = List.length b and nf = List.length f in
+    if nb <> nf then
+      fail file "%s: %d entries (baseline) <> %d (fresh)" path nb nf;
+    List.iteri
+      (fun i bv ->
+        Option.iter
+          (diff file (Printf.sprintf "%s[%d]" path i) bv)
+          (List.nth_opt f i))
+      b
   | _ ->
-    Printf.eprintf "bench/check: %s is not a %s file\n" path schema;
-    exit 1);
-  doc
+    let b = Meta.render baseline and f = Meta.render fresh in
+    if b <> f then fail file "%s %s (baseline) <> %s (fresh)" path b f
 
-let load_baseline ~path ~schema =
-  match Option.bind (Json.member "cases" (load_doc ~path ~schema)) Json.to_list with
-  | Some l -> l
-  | None ->
-    Printf.eprintf "bench/check: %s has no cases array\n" path;
-    exit 1
-
-(* The parallel baseline is checked statically, without re-running the
-   scaling bench: its wall times are host noise, but the schema tag, the
-   bit-identity flag and the chunk arithmetic are deterministic claims
-   about the code — a committed file whose chunk fields no longer match
-   [Exec.auto_chunk] means the scheduling math changed under it. *)
-let check_parallel ~path =
-  let doc = load_doc ~path ~schema:"hbn.bench.parallel/v2" in
-  (match Json.member "identical" doc with
-  | Some (Json.Bool true) -> ()
-  | _ -> fail "%s: \"identical\" is not true" path);
-  let objects = get "objects" Json.to_int doc in
-  let runs =
-    match Option.bind (Json.member "runs" doc) Json.to_list with
-    | Some l -> l
+let check file =
+  match
+    Json.parse_result (In_channel.with_open_text file In_channel.input_all)
+  with
+  | exception Sys_error m -> fail file "cannot read: %s" m
+  | Error m -> fail file "cannot parse: %s" m
+  | Ok doc -> (
+    let schema = Option.bind (Json.member "schema" doc) Json.to_string in
+    match List.find_opt (fun (s, _, _) -> Some s = schema) matrices with
     | None ->
-      fail "%s has no runs array" path;
-      []
-  in
-  (try
-     List.iter
-       (fun run ->
-         let jobs = get "jobs" Json.to_int run in
-         let chunk = get "chunk" Json.to_int run in
-         let chunks = get "chunks" Json.to_int run in
-         let want_chunk = Hbn_exec.Exec.auto_chunk ~jobs objects in
-         let want_chunks = (objects + want_chunk - 1) / want_chunk in
-         if chunk <> want_chunk then
-           fail "%s: jobs=%d chunk %d (baseline) <> %d (auto_chunk)" path jobs
-             chunk want_chunk;
-         if chunks <> want_chunks then
-           fail "%s: jobs=%d chunks %d (baseline) <> %d (derived)" path jobs
-             chunks want_chunks;
-         let tpc = get "tasks_per_chunk" Json.to_float run in
-         let want_tpc = float_of_int objects /. float_of_int want_chunks in
-         if Printf.sprintf "%.2f" tpc <> Printf.sprintf "%.2f" want_tpc then
-           fail
-             "%s: jobs=%d tasks_per_chunk %.2f (baseline) <> %.2f (derived)"
-             path jobs tpc want_tpc)
-       runs
-   with Json.Parse m -> fail "malformed run in %s: %s" path m);
-  List.length runs
-
-let check_matrix ~what ~path baseline_cases fresh check_one =
-  if List.length baseline_cases <> List.length fresh then
-    fail "%s case count %d (baseline) <> %d (fresh)" what
-      (List.length baseline_cases) (List.length fresh)
-  else begin
-    try List.iter2 check_one baseline_cases fresh
-    with Json.Parse m -> fail "malformed baseline case in %s: %s" path m
-  end
+      fail file "unknown schema %s"
+        (Option.fold ~none:"(none)" ~some:Meta.quote schema)
+    | Some (schema, _, cases) ->
+      let before = !failures in
+      let fresh = cases () in
+      let baseline =
+        match doc with
+        | Json.Obj kvs -> Json.Obj (List.remove_assoc "meta" kvs)
+        | _ -> doc
+      in
+      diff file "" baseline
+        (Json.Obj [ ("schema", Json.Str schema); ("cases", Json.List fresh) ]);
+      if !failures = before then
+        Printf.printf "bench/check: %s: %d cases match %s\n" file
+          (List.length fresh) schema)
 
 let () =
-  let arg i default = if Array.length Sys.argv > i then Sys.argv.(i) else default in
-  let pipeline_path = arg 1 "BENCH_pipeline.json" in
-  let faults_path = arg 2 "BENCH_faults.json" in
-  let parallel_path = arg 3 "BENCH_parallel.json" in
-  let async_path = arg 4 "BENCH_async.json" in
-  let monitor_path = arg 5 "BENCH_monitor.json" in
-  let serve_path = arg 6 "BENCH_serve.json" in
-  let pipeline_baseline = load_baseline ~path:pipeline_path ~schema:PC.schema in
-  let faults_baseline = load_baseline ~path:faults_path ~schema:FC.schema in
-  let async_baseline = load_baseline ~path:async_path ~schema:AC.schema in
-  let monitor_baseline = load_baseline ~path:monitor_path ~schema:MC.schema in
-  let serve_baseline = load_baseline ~path:serve_path ~schema:SC.schema in
-  let pipeline_fresh = PC.all () in
-  check_matrix ~what:"pipeline" ~path:pipeline_path pipeline_baseline
-    pipeline_fresh check_case;
-  let faults_fresh = FC.all () in
-  check_matrix ~what:"faults" ~path:faults_path faults_baseline faults_fresh
-    check_fault_case;
-  let parallel_runs = check_parallel ~path:parallel_path in
-  let async_fresh = AC.all () in
-  check_matrix ~what:"async" ~path:async_path async_baseline async_fresh
-    check_async_case;
-  let monitor_fresh = MC.all () in
-  check_matrix ~what:"monitor" ~path:monitor_path monitor_baseline
-    monitor_fresh check_monitor_case;
-  let serve_fresh = SC.all () in
-  check_matrix ~what:"serve" ~path:serve_path serve_baseline serve_fresh
-    check_serve_case;
+  let files =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> List.map (fun (_, file, _) -> file) matrices
+    | files -> files
+  in
+  List.iter check files;
   if !failures > 0 then begin
     Printf.eprintf
-      "bench/check: %d divergence(s) from the committed baselines — a code \
-       change altered pipeline, fault-recovery, async-simulation, \
-       drift-detection or serving-adaptation results (regenerate the \
-       baselines only if that was the point)\n"
+      "bench/check: %d divergence(s); regenerate a baseline only if the \
+       change was meant to alter its results\n"
       !failures;
     exit 1
-  end;
-  Printf.printf
-    "bench/check: %d pipeline cases match %s, %d fault cases match %s, %d \
-     parallel runs consistent in %s, %d async cases match %s, %d monitor \
-     cases match %s, %d serve cases match %s (deterministic fields)\n"
-    (List.length pipeline_fresh) pipeline_path (List.length faults_fresh)
-    faults_path parallel_runs parallel_path (List.length async_fresh)
-    async_path (List.length monitor_fresh) monitor_path
-    (List.length serve_fresh) serve_path
+  end

@@ -19,8 +19,9 @@ module Dist_nibble = Hbn_dist.Dist_nibble
 module Faults = Hbn_dist.Faults
 module Runtime = Hbn_dist.Runtime
 module Telemetry = Hbn_obs.Telemetry
+module Json = Hbn_obs.Json
 
-let schema = "hbn.bench.faults/v1"
+let schema = "hbn.bench.faults/v2"
 let seed = 20260806
 let objects = 12
 
@@ -126,13 +127,27 @@ let all () =
     (fun topology -> List.map (fun plan -> run_case ~prng ~topology ~plan) plans)
     (topologies ())
 
-let json_of_case c =
-  Printf.sprintf
-    "    {\"topology\":%S,\"plan\":%S,\"outcome\":%S,\"rounds\":%d,\
-     \"messages\":%d,\"retransmissions\":%d,\"duplicates\":%d,\
-     \"pure_acks\":%d,\"fault_events\":%d,\"dropped\":%d,\"undecided\":%d,\
-     \"congestion\":%.3f,\"tel_points\":%d,\"tel_sent\":%d,\"tel_bytes\":%d,\
-     \"tel_peak_sent\":%d}"
-    c.topology c.plan c.outcome c.rounds c.messages c.retransmissions
-    c.duplicates c.pure_acks c.fault_events c.dropped c.undecided c.congestion
-    c.tel_points c.tel_sent c.tel_bytes c.tel_peak_sent
+(* The JSON keys of a case, named here only; the writer and
+   bench/check.exe both go through this function. *)
+let to_json c =
+  Json.Obj
+    [
+      ("topology", Json.Str c.topology);
+      ("plan", Json.Str c.plan);
+      ("outcome", Json.Str c.outcome);
+      ("rounds", Json.Int c.rounds);
+      ("messages", Json.Int c.messages);
+      ("retransmissions", Json.Int c.retransmissions);
+      ("duplicates", Json.Int c.duplicates);
+      ("pure_acks", Json.Int c.pure_acks);
+      ("fault_events", Json.Int c.fault_events);
+      ("dropped", Json.Int c.dropped);
+      ("undecided", Json.Int c.undecided);
+      ("congestion", Json.Float c.congestion);
+      ("tel_points", Json.Int c.tel_points);
+      ("tel_sent", Json.Int c.tel_sent);
+      ("tel_bytes", Json.Int c.tel_bytes);
+      ("tel_peak_sent", Json.Int c.tel_peak_sent);
+    ]
+
+let cases () = List.map to_json (all ())

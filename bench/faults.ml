@@ -3,36 +3,12 @@
    Run with:  dune exec bench/faults.exe [-- --smoke]
    Replays the Fault_cases matrix — the hardened distributed nibble
    under seeded drop/crash/cut plans — and records the deterministic
-   recovery profile per case. bench/check.exe diffs those fields against
+   recovery profile per case. bench/check.exe diffs those cases against
    the committed file.
-
-   The "micro" object is a wall-clock note, ignored by the gate: it
-   times the runtime's send-validation on a large star, the worst case
-   for the old O(degree) neighbor scan that the precomputed per-node
-   membership tables replaced (every leaf's sends used to scan the hub's
-   full adjacency; now validation is a hash lookup).
 
    --smoke runs one drop-plan case and checks it recovers; no JSON. *)
 
-module Builders = Hbn_tree.Builders
-module Tree = Hbn_tree.Tree
-module Runtime = Hbn_dist.Runtime
 module FC = Fault_cases
-
-(* One lossless convergecast on a star: every leaf sends one message per
-   wave to the hub, so [waves × leaves] validated sends dominate. *)
-let star_micro ~leaves ~waves =
-  let t = Builders.star ~leaves ~profile:(Builders.Uniform 1) in
-  let step ~round ~node (sent : int) ~inbox =
-    ignore inbox;
-    if node > 0 && sent < waves then ((sent + 1), [ (0, round) ])
-    else (sent, [])
-  in
-  let t0 = Unix.gettimeofday () in
-  let out = Runtime.run t ~init:(fun _ -> 0) ~step in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let sends = out.Runtime.stats.Runtime.messages in
-  (sends, elapsed /. float_of_int (max 1 sends) *. 1e9)
 
 let () =
   let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv in
@@ -55,20 +31,8 @@ let () =
   end
   else begin
     let cases = FC.all () in
-    let sends, ns_per_send = star_micro ~leaves:4096 ~waves:8 in
-    let oc = open_out "BENCH_faults.json" in
-    output_string oc (Meta.header ~schema:FC.schema);
-    Printf.fprintf oc
-      " \"micro\":{\"star_leaves\":4096,\"sends\":%d,\"ns_per_send\":%.1f},\n"
-      sends ns_per_send;
-    output_string oc " \"cases\":[\n";
-    List.iteri
-      (fun i c ->
-        if i > 0 then output_string oc ",\n";
-        output_string oc (FC.json_of_case c))
-      cases;
-    output_string oc "\n]}\n";
-    close_out oc;
+    Meta.write ~path:"BENCH_faults.json" ~schema:FC.schema
+      (List.map FC.to_json cases);
     Printf.printf "bench/faults: wrote BENCH_faults.json (%d cases)\n"
       (List.length cases);
     List.iter

@@ -1,10 +1,18 @@
-(* Shared metadata header for the BENCH_*.json writers.
+(* Shared writer for the BENCH_*.json baselines.
 
-   Every baseline file opens with the same two lines — the schema tag and
-   a "meta" object recording the environment the numbers were taken in
-   (core count, compiler, git state) — so tooling that diffs baselines
-   can tell an algorithmic change from a host change. The deterministic
-   payload fields follow; bench/check.exe ignores "meta" entirely. *)
+   Every baseline file has one shape,
+
+     {"schema":..., "meta":{...}, "cases":[...]}
+
+   where "meta" records the environment the file was written in (core
+   count, compiler, git state) so tooling can tell an algorithmic change
+   from a host change, and "cases" holds one object per case of the
+   matrix, deterministic fields only. bench/check.exe ignores "meta" and
+   diffs "cases" against a fresh run. Timings are not written here; the
+   timing benches print theirs to stdout, and perfbench/ is the repo's
+   timing source. *)
+
+module Json = Hbn_obs.Json
 
 (* Best-effort only: spawning can fail (no /bin/sh, fork limits), git can
    be absent or print nothing (not a repo, empty repo), and reaping can
@@ -20,12 +28,38 @@ let git_describe () =
     | Unix.WEXITED 0 when line <> "" -> line
     | _ | (exception _) -> "unknown")
 
-(* The opening brace, schema and meta fields of one BENCH file; the
-   caller appends its own fields after the trailing comma. *)
-let header ~schema =
-  Printf.sprintf
-    "{\"schema\":%S,\n\
-    \ \"meta\":{\"detected_cores\":%d,\"ocaml\":%S,\"git\":%S},\n"
-    schema
-    (Domain.recommended_domain_count ())
-    Sys.ocaml_version (git_describe ())
+let quote s =
+  let buf = Buffer.create (String.length s + 2) in
+  Json.escape_string buf s;
+  Buffer.contents buf
+
+(* Compact JSON with every float through %.3f: the one rendering both
+   the writers and the checker use, so baseline and fresh values compare
+   as strings, exactly. *)
+let rec render = function
+  | Json.Null -> "null"
+  | Json.Bool b -> string_of_bool b
+  | Json.Int i -> string_of_int i
+  | Json.Float f -> Printf.sprintf "%.3f" f
+  | Json.Str s -> quote s
+  | Json.List l -> "[" ^ String.concat "," (List.map render l) ^ "]"
+  | Json.Obj kvs ->
+    "{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> quote k ^ ":" ^ render v) kvs)
+    ^ "}"
+
+(* Writes one baseline file, one case per line. *)
+let write ~path ~schema cases =
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc
+        "{\"schema\":%s,\n\
+        \ \"meta\":{\"detected_cores\":%d,\"ocaml\":%s,\"git\":%s},\n\
+        \ \"cases\":[\n\
+         %s\n\
+         ]}\n"
+        (quote schema)
+        (Domain.recommended_domain_count ())
+        (quote Sys.ocaml_version)
+        (quote (git_describe ()))
+        (String.concat ",\n" (List.map (fun c -> "    " ^ render c) cases)))

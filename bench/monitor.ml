@@ -4,34 +4,14 @@
    Replays the Monitor_cases matrix — synthetic steady/step/ramp/
    flash-crowd/fade workloads through a folding Telemetry collector into
    a default Monitor — and records the detector hit/miss profile per
-   case. bench/check.exe diffs those fields against the committed file,
+   case. bench/check.exe diffs those cases against the committed file,
    so the detection frontier (which shapes fire, which stay silent, and
    when) is a pinned contract, not a vibe.
-
-   The "micro" object is a wall-clock note, ignored by the gate: it
-   times Monitor.observe on one long synthetic series — the per-
-   observation cost of the P-square updates, the EWMA, the window scan
-   and both detectors together, which is what the engines pay per
-   telemetry point per derived series.
 
    --smoke replays the matrix and asserts its contract (steady silent,
    every drift shape fires, fade degrades); no JSON. *)
 
-module Monitor = Hbn_obs.Monitor
 module MC = Monitor_cases
-
-(* One series, [n] observations of a noisy level: the estimator+detector
-   hot path with no Telemetry in the way. *)
-let observe_micro ~n =
-  let mon = Monitor.create () in
-  let t0 = Unix.gettimeofday () in
-  for r = 0 to n - 1 do
-    let v = 12.0 +. float_of_int (r land 3) in
-    Monitor.observe mon ~series:"micro" ~round:r ~vtime:(float_of_int r)
-      ~span:1 v
-  done;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  (n, elapsed /. float_of_int (max 1 n) *. 1e9)
 
 let contract cases =
   let find w = List.find (fun c -> c.MC.workload = w) cases in
@@ -65,20 +45,8 @@ let () =
        fire, fade degrades\n"
       (List.length cases)
   else begin
-    let n, ns_per_obs = observe_micro ~n:200_000 in
-    let oc = open_out "BENCH_monitor.json" in
-    output_string oc (Meta.header ~schema:MC.schema);
-    Printf.fprintf oc
-      " \"micro\":{\"observations\":%d,\"ns_per_observe\":%.1f},\n" n
-      ns_per_obs;
-    output_string oc " \"cases\":[\n";
-    List.iteri
-      (fun i c ->
-        if i > 0 then output_string oc ",\n";
-        output_string oc (MC.json_of_case c))
-      cases;
-    output_string oc "\n]}\n";
-    close_out oc;
+    Meta.write ~path:"BENCH_monitor.json" ~schema:MC.schema
+      (List.map MC.to_json cases);
     Printf.printf "bench/monitor: wrote BENCH_monitor.json (%d cases)\n"
       (List.length cases);
     List.iter

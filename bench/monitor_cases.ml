@@ -16,8 +16,9 @@
 module Prng = Hbn_prng.Prng
 module Telemetry = Hbn_obs.Telemetry
 module Monitor = Hbn_obs.Monitor
+module Json = Hbn_obs.Json
 
-let schema = "hbn.bench.monitor/v1"
+let schema = "hbn.bench.monitor/v2"
 let seed = 20260809
 let rounds = 240
 let num_edges = 4
@@ -116,10 +117,22 @@ let run_case workload =
 
 let all () = List.map run_case workloads
 
-let json_of_case c =
-  Printf.sprintf
-    "    {\"workload\":%S,\"rounds\":%d,\"points\":%d,\"alerts\":%d,\
-     \"cusum_alerts\":%d,\"ph_alerts\":%d,\"first_alert_round\":%d,\
-     \"verdict\":%S,\"sent_p50\":%.3f,\"sent_p95\":%.3f,\"sent_mean\":%.3f}"
-    c.workload c.rounds c.points c.alerts c.cusum_alerts c.ph_alerts
-    c.first_alert_round c.verdict c.sent_p50 c.sent_p95 c.sent_mean
+(* The JSON keys of a case, named here only; the writer and
+   bench/check.exe both go through this function. *)
+let to_json c =
+  Json.Obj
+    [
+      ("workload", Json.Str c.workload);
+      ("rounds", Json.Int c.rounds);
+      ("points", Json.Int c.points);
+      ("alerts", Json.Int c.alerts);
+      ("cusum_alerts", Json.Int c.cusum_alerts);
+      ("ph_alerts", Json.Int c.ph_alerts);
+      ("first_alert_round", Json.Int c.first_alert_round);
+      ("verdict", Json.Str c.verdict);
+      ("sent_p50", Json.Float c.sent_p50);
+      ("sent_p95", Json.Float c.sent_p95);
+      ("sent_mean", Json.Float c.sent_mean);
+    ]
+
+let cases () = List.map to_json (all ())

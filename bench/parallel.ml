@@ -4,34 +4,18 @@
           or  dune exec bench/parallel.exe -- --smoke
    The full run executes the whole strategy (Steps 1-3 plus the final
    evaluation) on one large random instance at --jobs 1, 2 and 4 and
-   records wall times and speedups in BENCH_parallel.json, together with
-   the core count the runtime detects — scaling numbers are only
-   meaningful when the host actually has that many cores. Every run must
-   produce a bit-identical [Strategy.result] and evaluation; the bench
-   fails (exit 1) on any divergence. [--smoke] checks equality on a small
-   instance for `make check`: no timing claims, no JSON written. *)
+   prints wall times and speedups, together with the core count the
+   runtime detects — scaling numbers are only meaningful when the host
+   actually has that many cores. Every run must produce a bit-identical
+   [Strategy.result] and evaluation; the bench fails (exit 1) on any
+   divergence. It then writes BENCH_parallel.json: the chunk-scheduling
+   rows of Parallel_cases, no timings. [--smoke] checks equality on a
+   small instance for `make check`: no timing claims, no JSON written. *)
 
-module Builders = Hbn_tree.Builders
-module Tree = Hbn_tree.Tree
-module Prng = Hbn_prng.Prng
-module Workload = Hbn_workload.Workload
-module Generators = Hbn_workload.Generators
-module Placement = Hbn_placement.Placement
 module Strategy = Hbn_core.Strategy
+module Placement = Hbn_placement.Placement
 module Exec = Hbn_exec.Exec
-module Json = Hbn_obs.Json
-
-let seed = 20260806
-let job_counts = [ 1; 2; 4 ]
-
-(* Fresh instance per run so every job count pays the same view-cache
-   warm-up; the generators are deterministic in the seed. *)
-let instance ~arity ~height ~objects () =
-  let tree = Builders.balanced ~arity ~height ~profile:(Builders.Uniform 2) in
-  let w =
-    Generators.uniform ~prng:(Prng.create (seed + 1)) tree ~objects ~max_rate:8
-  in
-  (tree, w)
+module PC = Parallel_cases
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -83,56 +67,30 @@ let check_identical ~reference ~jobs res =
   end
 
 let smoke () =
-  let mk = instance ~arity:3 ~height:2 ~objects:12 in
+  let mk = PC.instance ~arity:3 ~height:2 ~objects:12 in
   let results =
-    List.map (fun jobs -> snd (run_once ~jobs mk)) job_counts
+    List.map (fun jobs -> snd (run_once ~jobs mk)) PC.job_counts
   in
   (match results with
   | reference :: rest ->
     List.iteri
       (fun i res ->
-        check_identical ~reference ~jobs:(List.nth job_counts (i + 1)) res)
+        check_identical ~reference ~jobs:(List.nth PC.job_counts (i + 1)) res)
       rest
   | [] -> ());
   print_endline
     "bench/parallel --smoke: jobs 1/2/4 bit-identical (strategy + evaluate)"
 
-(* The previous baseline's sequential time, carried into the fresh file
-   as "prev_seq_seconds" so a regeneration records the speed delta it
-   overwrote (accepts the v1 schema too, which lacked the field). *)
-let prev_seq_seconds path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error _ -> None
-  | text -> (
-    match Json.parse_result text with
-    | Error _ -> None
-    | Ok doc ->
-      Option.bind (Json.member "runs" doc) Json.to_list
-      |> Option.map
-           (List.filter_map (fun run ->
-                match
-                  ( Option.bind (Json.member "jobs" run) Json.to_int,
-                    Option.bind (Json.member "seconds" run) Json.to_float )
-                with
-                | Some 1, Some s -> Some s
-                | _ -> None))
-      |> function
-      | Some (s :: _) -> Some s
-      | _ -> None)
-
 let full out_path =
   let repeats = 3 in
-  let arity = 4 and height = 4 and objects = 384 in
-  let mk = instance ~arity ~height ~objects in
-  let tree, w = mk () in
-  let prev_seq = prev_seq_seconds out_path in
+  let mk = PC.instance ~arity:PC.arity ~height:PC.height ~objects:PC.objects in
   let cores = Domain.recommended_domain_count () in
   let measured =
     List.map
       (fun jobs ->
         let secs, res = measure ~repeats ~jobs mk in
         (jobs, secs, res))
-      job_counts
+      PC.job_counts
   in
   let _, base_s, reference =
     match measured with m :: _ -> m | [] -> assert false
@@ -141,40 +99,14 @@ let full out_path =
     (fun (jobs, _, res) ->
       if jobs <> 1 then check_identical ~reference ~jobs res)
     measured;
-  let oc = open_out out_path in
-  output_string oc (Meta.header ~schema:"hbn.bench.parallel/v2");
-  Printf.fprintf oc
-    " \"topology\":\"balanced-a%dh%d\",\"leaves\":%d,\"objects\":%d,\n\
-    \ \"seed\":%d,\"repeats\":%d,%s\n\
-    \ \"runs\":[%s],\n\
-    \ \"identical\":true}\n"
-    arity height (Tree.num_leaves tree) (Workload.num_objects w) seed repeats
-    (match prev_seq with
-    | None -> ""
-    | Some s -> Printf.sprintf "\"prev_seq_seconds\":%.6f," s)
-    (String.concat ","
-       (List.map
-          (fun (jobs, secs, _) ->
-            (* The scheduling shape of the per-object fan-out: auto chunk
-               size, task count, and tasks per chunk. Deterministic in
-               (jobs, objects) — bench/check.exe re-derives and gates
-               them. *)
-            let chunk = Exec.auto_chunk ~jobs objects in
-            let chunks = (objects + chunk - 1) / chunk in
-            Printf.sprintf
-              "\n\
-              \  {\"jobs\":%d,\"seconds\":%.6f,\"speedup\":%.2f,\"chunk\":%d,\"chunks\":%d,\"tasks_per_chunk\":%.2f}"
-              jobs secs (base_s /. secs) chunk chunks
-              (float_of_int objects /. float_of_int chunks))
-          measured));
-  close_out oc;
+  Meta.write ~path:out_path ~schema:PC.schema (PC.cases ());
   Printf.printf "wrote %s (detected cores: %d)\n" out_path cores;
   List.iter
     (fun (jobs, secs, _) ->
       Printf.printf "  jobs %d  %8.3f s  speedup %.2fx\n" jobs secs
         (base_s /. secs))
     measured;
-  if cores < List.fold_left max 1 job_counts then
+  if cores < List.fold_left max 1 PC.job_counts then
     Printf.printf
       "  note: only %d core(s) available; speedups above 1x cannot appear \
        on this host\n"

@@ -1,30 +1,21 @@
-(* Machine-readable perf baseline for the strategy pipeline.
+(* Deterministic baseline of the strategy pipeline.
 
    Run with:  dune exec bench/pipeline.exe [-- OUTPUT.json]
    Writes BENCH_pipeline.json (default, in the current directory): one
-   record per topology x workload case with per-phase wall times gathered
-   through the Hbn_obs timing sink, the pipeline counters, and the
-   resulting congestion/makespan. The case matrix lives in
-   Pipeline_cases, shared with bench/check.exe which diffs the
-   deterministic fields of a fresh run against the committed file to
-   catch behavioural regressions; the JSON is this repo's BENCH_*
-   trajectory format. *)
+   case per topology x workload with instance shape, congestion,
+   makespan, the pipeline counters and the phase names with their call
+   counts. The case matrix lives in Pipeline_cases, shared with
+   bench/check.exe, which diffs a fresh run against the committed file.
+   The strategy's wall time per case is printed to stdout only. *)
+
+module PC = Pipeline_cases
 
 let () =
   let out_path =
     if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_pipeline.json"
   in
-  let cases = Pipeline_cases.all () in
-  let oc = open_out out_path in
-  output_string oc (Meta.header ~schema:Pipeline_cases.schema);
-  output_string oc " \"cases\":[\n";
-  List.iteri
-    (fun i c ->
-      if i > 0 then output_string oc ",\n";
-      output_string oc (Pipeline_cases.json_of_case c))
-    cases;
-  output_string oc "\n]}\n";
-  close_out oc;
+  let cases = PC.all () in
+  Meta.write ~path:out_path ~schema:PC.schema (List.map PC.to_json cases);
   Printf.printf "wrote %d cases to %s\n" (List.length cases) out_path;
   List.iter
     (fun c ->
@@ -32,9 +23,8 @@ let () =
         List.fold_left
           (fun acc (name, _, ns) ->
             if name = "strategy.run" then Int64.to_float ns /. 1e6 else acc)
-          0. c.Pipeline_cases.phases
+          0. c.PC.phases
       in
       Printf.printf "  %-18s %-8s strategy %.2f ms, congestion %.1f\n"
-        c.Pipeline_cases.topology c.Pipeline_cases.workload total
-        c.Pipeline_cases.congestion)
+        c.PC.topology c.PC.workload total c.PC.congestion)
     cases

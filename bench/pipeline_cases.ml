@@ -16,8 +16,9 @@ module Sim = Hbn_sim.Sim
 module Trace = Hbn_obs.Trace
 module Sink = Hbn_obs.Sink
 module Metrics = Hbn_obs.Metrics
+module Json = Hbn_obs.Json
 
-let schema = "hbn.bench.pipeline/v1"
+let schema = "hbn.bench.pipeline/v2"
 let seed = 20260806
 let objects = 32
 
@@ -85,30 +86,29 @@ let all () =
         [ "uniform"; "zipf"; "hotspot" ])
     (topologies prng)
 
-(* Minimal JSON printing: every name in a record is plain ASCII, so
-   OCaml's %S escaping coincides with JSON string escaping. *)
-let json_of_case c =
-  let buf = Buffer.create 512 in
-  let str s = Printf.sprintf "%S" s in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    {\"topology\":%s,\"workload\":%s,\"nodes\":%d,\"leaves\":%d,\
-        \"objects\":%d,\"requests\":%d,\"congestion\":%.3f,\"makespan\":%d,\n"
-       (str c.topology) (str c.workload) c.nodes c.leaves c.objects c.requests
-       c.congestion c.makespan);
-  Buffer.add_string buf "     \"phases\":{";
-  List.iteri
-    (fun i (name, calls, total_ns) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "%s:{\"calls\":%d,\"total_ns\":%Ld}" (str name) calls
-           total_ns))
-    c.phases;
-  Buffer.add_string buf "},\n     \"counters\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "%s:%d" (str name) v))
-    c.counters;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+(* The JSON keys of a case are named here and nowhere else: the writer
+   and bench/check.exe both go through this function. Phase durations
+   are host noise and stay out; phase names and call counts are
+   behaviour and go in. *)
+let to_json c =
+  Json.Obj
+    [
+      ("topology", Json.Str c.topology);
+      ("workload", Json.Str c.workload);
+      ("nodes", Json.Int c.nodes);
+      ("leaves", Json.Int c.leaves);
+      ("objects", Json.Int c.objects);
+      ("requests", Json.Int c.requests);
+      ("congestion", Json.Float c.congestion);
+      ("makespan", Json.Int c.makespan);
+      ( "phases",
+        Json.Obj
+          (List.map
+             (fun (name, calls, _ns) ->
+               (name, Json.Obj [ ("calls", Json.Int calls) ]))
+             c.phases) );
+      ( "counters",
+        Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) c.counters) );
+    ]
+
+let cases () = List.map to_json (all ())

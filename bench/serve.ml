@@ -4,7 +4,7 @@
    Replays the Serve_cases matrix — the four Drift generators through
    the epoch-based serving tier — and records congestion-over-time,
    bytes-migrated, and epochs-reoptimized per case. bench/check.exe
-   diffs those fields against the committed file, so the adaptation
+   diffs those cases against the committed file, so the adaptation
    frontier (what re-optimizes, what it costs, what it recovers) is a
    pinned contract.
 
@@ -62,16 +62,8 @@ let () =
       (List.length cases)
       (100.0 *. hot.SC.recovered)
   else begin
-    let oc = open_out "BENCH_serve.json" in
-    output_string oc (Meta.header ~schema:SC.schema);
-    output_string oc " \"cases\":[\n";
-    List.iteri
-      (fun i c ->
-        if i > 0 then output_string oc ",\n";
-        output_string oc (SC.json_of_case c))
-      cases;
-    output_string oc "\n]}\n";
-    close_out oc;
+    Meta.write ~path:"BENCH_serve.json" ~schema:SC.schema
+      (List.map SC.to_json cases);
     Printf.printf "bench/serve: wrote BENCH_serve.json (%d cases)\n"
       (List.length cases);
     List.iter

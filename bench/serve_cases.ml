@@ -21,6 +21,7 @@ module Builders = Hbn_tree.Builders
 module Drift = Hbn_serve.Drift
 module Serve = Hbn_serve.Serve
 module Monitor = Hbn_obs.Monitor
+module Json = Hbn_obs.Json
 
 let schema = "hbn.bench.serve/v1"
 let seed = 20260809
@@ -112,13 +113,27 @@ let run_case kind =
 
 let all () = List.map run_case Drift.all_kinds
 
-let json_of_case c =
-  Printf.sprintf
-    "    {\"workload\":%S,\"epochs\":%d,\"requests\":%d,\"alerts\":%d,\
-     \"reoptimized\":%d,\"bytes_migrated\":%d,\"max_epoch_bytes\":%d,\
-     \"budget_ok\":%b,\"replications\":%d,\"migrations\":%d,\
-     \"contractions\":%d,\"verdict\":%S,\"mean_serve\":%.3f,\
-     \"mean_stale\":%.3f,\"mean_oracle\":%.3f,\"recovered\":%.3f}"
-    c.workload c.epochs c.requests c.alerts c.reoptimized c.bytes_migrated
-    c.max_epoch_bytes c.budget_ok c.replications c.migrations c.contractions
-    c.verdict c.mean_serve c.mean_stale c.mean_oracle c.recovered
+(* The JSON keys of a case, named here only; the writer and
+   bench/check.exe both go through this function. *)
+let to_json c =
+  Json.Obj
+    [
+      ("workload", Json.Str c.workload);
+      ("epochs", Json.Int c.epochs);
+      ("requests", Json.Int c.requests);
+      ("alerts", Json.Int c.alerts);
+      ("reoptimized", Json.Int c.reoptimized);
+      ("bytes_migrated", Json.Int c.bytes_migrated);
+      ("max_epoch_bytes", Json.Int c.max_epoch_bytes);
+      ("budget_ok", Json.Bool c.budget_ok);
+      ("replications", Json.Int c.replications);
+      ("migrations", Json.Int c.migrations);
+      ("contractions", Json.Int c.contractions);
+      ("verdict", Json.Str c.verdict);
+      ("mean_serve", Json.Float c.mean_serve);
+      ("mean_stale", Json.Float c.mean_stale);
+      ("mean_oracle", Json.Float c.mean_oracle);
+      ("recovered", Json.Float c.recovered);
+    ]
+
+let cases () = List.map to_json (all ())

@@ -101,15 +101,12 @@ let hill_climb ~iterations ~prng w copies =
   end;
   Loads.snapshot eng
 
-let hill_climb_scratch ?exec ~iterations ~prng w copies =
+let hill_climb_scratch ~iterations ~prng w copies =
   let leaves = Tree.leaves_array (Workload.tree w) in
   let copies = Array.map (fun cs -> List.sort_uniq compare cs) copies in
-  (* Candidate scoring is the hot path: each proposal rebuilds the
-     nearest-copy assignment and re-evaluates every object's loads, both
-     of which fan out per object on a parallel [exec]. *)
-  let eval () =
-    Placement.congestion ?exec w (Placement.nearest ?exec w ~copies)
-  in
+  (* Each proposal rebuilds the nearest-copy assignment and re-evaluates
+     every object's loads. *)
+  let eval () = Placement.congestion w (Placement.nearest w ~copies) in
   let count obj = List.length copies.(obj) in
   let active = active_objects ~count w in
   if active <> [] && Array.length leaves > 0 then begin

@@ -53,7 +53,6 @@ val hill_climb :
     input arrays are not mutated. *)
 
 val hill_climb_scratch :
-  ?exec:Hbn_exec.Exec.t ->
   iterations:int ->
   prng:Hbn_prng.Prng.t ->
   Workload.t ->
@@ -61,10 +60,7 @@ val hill_climb_scratch :
   Placement.t
 (** Reference implementation of {!hill_climb} that rebuilds
     [Placement.nearest] and re-evaluates the whole workload on every
-    proposal. Kept for differential tests and [bench/loads.exe], which
-    records the speedup of the engine over this path. [exec] parallelizes
-    each proposal's candidate scoring per object; the proposal stream and
-    the resulting placement are identical at any job count. *)
+    proposal. Kept as the reference for differential tests. *)
 
 val polish :
   ?iterations:int ->

@@ -4,6 +4,7 @@ module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Baselines = Hbn_baselines.Baselines
 module Prng = Hbn_prng.Prng
+module Generators = Hbn_workload.Generators
 
 let instance () =
   let t = Builders.balanced ~arity:2 ~height:2 ~profile:(Builders.Uniform 1) in
@@ -164,4 +165,34 @@ let polish_suite =
       prop_polish_never_worse;
   ]
 
-let suite = suite @ polish_suite
+(* A larger instance than the property above: balanced a4h3 with 32
+   uniform objects, 300 proposals from the first requesting leaf of each
+   object. Both climbs must land on the same placement, and its
+   congestion is pinned. *)
+let test_hill_climb_matches_scratch_a4h3 () =
+  let seed = 20260806 in
+  let tree =
+    Builders.balanced ~arity:4 ~height:3 ~profile:(Builders.Uniform 2)
+  in
+  let w =
+    Generators.uniform ~prng:(Prng.create (seed + 1)) tree ~objects:32
+      ~max_rate:8
+  in
+  let copies = start_copies w in
+  let engine =
+    Baselines.hill_climb ~iterations:300 ~prng:(Prng.create seed) w copies
+  in
+  let scratch =
+    Baselines.hill_climb_scratch ~iterations:300 ~prng:(Prng.create seed) w
+      copies
+  in
+  Alcotest.(check bool) "engine = scratch" true (engine = scratch);
+  Alcotest.(check string) "congestion" "6190.750"
+    (Printf.sprintf "%.3f" (Placement.congestion w engine))
+
+let suite =
+  suite @ polish_suite
+  @ [
+      Helpers.tc "hill climb matches scratch on balanced a4h3"
+        test_hill_climb_matches_scratch_a4h3;
+    ]

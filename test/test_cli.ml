@@ -209,6 +209,20 @@ let test_simulate_link_bad_spec () =
     (link_args [ "--link"; "" ])
     [ "hbn_cli:"; "bad --link spec" ]
 
+(* Sim.lower_bound reads the tree's bandwidths, which a link model
+   replaces, so under --link the makespan line carries no bound (on this
+   instance the link run finishes in 12 rounds, under the synchronous
+   bound of 13.0); without --link the bound stays. *)
+let test_simulate_link_no_sync_bound () =
+  let args =
+    [ "simulate"; "--kind"; "balanced"; "--arity"; "2"; "--height"; "2";
+      "--objects"; "3" ]
+  in
+  check_run "simulate --link 1:100"
+    (args @ [ "--link"; "1:100" ])
+    [ "makespan: 12 rounds\n" ];
+  check_run "simulate without --link" args [ "(lower bound " ]
+
 (* The event-driven simulation is deterministic: the whole report must
    not depend on --jobs. *)
 let test_simulate_link_jobs_identical () =
@@ -562,4 +576,6 @@ let suite =
     Helpers.tc "cli --trace to chrome trace-event JSON" test_trace_to_chrome;
     Helpers.tc "cli simulate --link with vanishing latency"
       test_simulate_link_vanishing_latency;
+    Helpers.tc "cli simulate --link prints no synchronous bound"
+      test_simulate_link_no_sync_bound;
   ]
