@@ -31,7 +31,8 @@ test:
 # list-returning reference in test/tree_oracle.ml runs in `dune runtest`,
 # test/test_flat.ml); the monitor smoke replays the synthetic
 # drift matrix and requires steady traffic to stay silent while every
-# drift shape fires; report-smoke drives --trace/--telemetry recording,
+# drift shape fires; report-smoke drives --trace/--telemetry recording
+# (the --trace JSONL must carry strategy.attribution snapshots),
 # the report command's three renderers, and a --diff of a trace against
 # itself (which must come back clean); the serve smoke replays the
 # adaptive-serving matrix contract (steady silent, hotspot recovered
@@ -107,6 +108,8 @@ report-smoke:
 	dune exec --no-build bin/hbn_cli.exe -- place --kind balanced --arity 3 \
 	  --height 3 --workload zipf --objects 8 --seed 7 \
 	  --trace /tmp/hbn_report_smoke_trace.jsonl > /dev/null
+	grep -q '"ev":"attribution","name":"strategy.attribution"' \
+	  /tmp/hbn_report_smoke_trace.jsonl
 	dune exec --no-build bin/hbn_cli.exe -- simulate --kind balanced \
 	  --arity 3 --height 2 --workload zipf --seed 7 \
 	  --faults "drop=0.1,until=50" \

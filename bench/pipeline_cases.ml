@@ -15,7 +15,6 @@ module Strategy = Hbn_core.Strategy
 module Sim = Hbn_sim.Sim
 module Trace = Hbn_obs.Trace
 module Sink = Hbn_obs.Sink
-module Metrics = Hbn_obs.Metrics
 module Json = Hbn_obs.Json
 
 let schema = "hbn.bench.pipeline/v2"
@@ -56,19 +55,20 @@ let workload_of name ~prng tree ~objects =
 
 let run_case ~prng ~topology:(tname, tree) ~workload:wname ~objects =
   let w = workload_of wname ~prng tree ~objects in
-  Metrics.reset Metrics.global;
   let sink, read_timings = Sink.timings () in
-  let congestion, makespan =
+  let congestion, makespan, counters =
     Trace.with_sink sink (fun () ->
         let res = Strategy.run w in
         let out = Sim.run ~scale:4 w res.Strategy.placement in
-        (Placement.congestion w res.Strategy.placement, out.Sim.makespan))
+        ( Placement.congestion w res.Strategy.placement,
+          out.Sim.makespan,
+          Trace.counters () ))
   in
   {
     topology = tname;
     workload = wname;
     phases = read_timings ();
-    counters = Metrics.counters Metrics.global;
+    counters;
     nodes = Tree.n tree;
     leaves = Tree.num_leaves tree;
     objects;

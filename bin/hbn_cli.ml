@@ -28,7 +28,6 @@ module Runtime = Hbn_dist.Runtime
 module Table = Hbn_util.Table
 module Trace = Hbn_obs.Trace
 module Sink = Hbn_obs.Sink
-module Metrics = Hbn_obs.Metrics
 module Attribution = Hbn_obs.Attribution
 module Telemetry = Hbn_obs.Telemetry
 module Monitor = Hbn_obs.Monitor
@@ -114,11 +113,13 @@ let timings =
         ~doc:"Print a per-phase wall-time table after the command.")
 
 (* Installs the requested sinks around [f]: a JSONL writer for [--trace],
-   a span-duration aggregator for [--timings], or their tee. Every event
-   is tagged with the executor slot of the domain that emitted it
-   ([domain:0] outside a pool — pool tasks never trace, so the tag also
-   keeps traces byte-identical across job counts). With neither flag the
-   tracer stays disabled and [f] runs untouched. *)
+   a span-duration aggregator for [--timings], or their tee. Only the
+   JSONL writer asks for attribution snapshots, so [--timings] alone
+   never pays for building them. Every event is tagged with the executor
+   slot of the domain that emitted it ([domain:0] outside a pool — pool
+   tasks never trace, so the tag also keeps traces byte-identical across
+   job counts). With neither flag the tracer stays disabled and [f] runs
+   untouched. *)
 let with_observability ~trace ~timings f =
   let timing_sink, timing_read =
     if timings then
@@ -146,18 +147,14 @@ let with_observability ~trace ~timings f =
            [ ("domain", Sink.Int (Exec.current_worker ())) ]))
       sink
   in
-  (match sink with
-  | None -> ()
-  | Some s ->
-    Metrics.reset Metrics.global;
-    Trace.set_sink (Some s));
+  let traced = Option.is_some sink in
+  if traced then Trace.set_sink ~attribution:(Option.is_some file_sink) sink;
   Fun.protect
     ~finally:(fun () ->
-      (match sink with
-      | None -> ()
-      | Some s ->
-        Metrics.emit Metrics.global s;
-        Trace.set_sink None);
+      if traced then begin
+        Trace.emit_totals ();
+        Trace.set_sink None
+      end;
       close_file ();
       match timing_read with
       | None -> ()

@@ -2,6 +2,7 @@ module Tree = Hbn_tree.Tree
 module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
+module Trace = Hbn_obs.Trace
 
 let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
 
@@ -115,13 +116,18 @@ let check_theorem_4_3 w res ~optimum =
          (7. *. optimum))
 
 let check_all w res =
-  let* () = check_valid w res in
-  let* () = check_observation_3_2 w res in
-  (* Lemmas 4.5 and 4.6 share one evaluation of both placements. *)
-  let final, nib = final_and_nibble_loads w res in
-  let tau = res.Strategy.tau_max in
-  let* () = lemma_4_5 ~final ~nib ~tau in
-  lemma_4_6 (Workload.tree w) ~final ~nib ~tau
+  let sp = Trace.span "certificates.check_all" in
+  let verdict =
+    let* () = check_valid w res in
+    let* () = check_observation_3_2 w res in
+    (* Lemmas 4.5 and 4.6 share one evaluation of both placements. *)
+    let final, nib = final_and_nibble_loads w res in
+    let tau = res.Strategy.tau_max in
+    let* () = lemma_4_5 ~final ~nib ~tau in
+    lemma_4_6 (Workload.tree w) ~final ~nib ~tau
+  in
+  Trace.finish sp;
+  verdict
 
 let max_edge_slack w res =
   let final, nib = final_and_nibble_loads w res in

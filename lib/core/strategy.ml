@@ -89,10 +89,11 @@ let stage_object ~scratch w cs =
   end
 
 (* One attribution snapshot per pipeline phase, as [strategy.attribution]
-   events tagged with the phase name. Guarded by [Trace.enabled] so runs
-   without a sink never build the tables. *)
+   events tagged with the phase name. Guarded by [Trace.attribution]: a
+   snapshot costs more than the phase it describes, so only a sink that
+   asked for snapshots gets the tables built. *)
 let emit_attribution phase w p =
-  if Trace.enabled () then
+  if Trace.attribution () then
     List.iter Trace.emit
       (Attribution.events ~name:"strategy.attribution"
          ~attrs:[ ("phase", Sink.Str phase) ]

@@ -64,7 +64,9 @@ val run :
     [strategy.deletion] (attrs [deletions], [splits]) and
     [strategy.mapping] (attrs [tau_max], [mapped_objects], [moves_up],
     [moves_down]) — nested in a [strategy.run] root span, plus the
-    [strategy.deletions] / [strategy.splits] counters. Tracing only
+    [strategy.deletions] / [strategy.splits] counters. Only when the
+    sink asked for them ({!Hbn_obs.Trace.attribution}) does it also
+    emit one [strategy.attribution] snapshot per step. Tracing only
     observes: the computed result is identical with tracing on, off, or
     absent. *)
 

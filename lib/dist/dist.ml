@@ -87,6 +87,7 @@ let nibble_rounds w =
   (per_object, { rounds; messages; max_node_work })
 
 let strategy_rounds w =
+  let sp = Trace.span "dist.strategy_rounds" in
   let tree = Workload.tree w in
   let height = Tree.height tree in
   let _, nibble_stats = nibble_rounds w in
@@ -140,6 +141,7 @@ let strategy_rounds w =
           ("max_node_work", Sink.Int stats.max_node_work);
         ]
   end;
+  Trace.finish sp;
   (res.Strategy.placement, stats)
 
 type fault_report =

@@ -3,6 +3,7 @@ module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Nibble = Hbn_nibble.Nibble
+module Trace = Hbn_trace.Trace
 
 (* The nibble placement streamed through the nearest-copy evaluator:
    the per-edge integer sums of [Placement.edge_loads w
@@ -31,4 +32,8 @@ let single_object w =
   done;
   float_of_int !best
 
-let combined w = Float.max (nibble w) (single_object w)
+let combined w =
+  let sp = Trace.span "lower_bounds.combined" in
+  let lb = Float.max (nibble w) (single_object w) in
+  Trace.finish sp;
+  lb

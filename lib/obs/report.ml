@@ -175,7 +175,7 @@ let critical_path t =
 (* -- metric rollups ----------------------------------------------------- *)
 
 let counters t =
-  (* Counter events are whole-run snapshots ([Metrics.emit]); the last
+  (* Counter events are whole-run snapshots ([Trace.emit_totals]); the last
      one per name wins. *)
   let tbl = Hashtbl.create 16 in
   List.iter

@@ -2,6 +2,7 @@ module Tree = Hbn_tree.Tree
 module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Exec = Hbn_exec.Exec
+module Trace = Hbn_trace.Trace
 
 type assignment = { leaf : int; server : int; reads : int; writes : int }
 
@@ -312,10 +313,17 @@ let congestion_of_edge_loads tree loads =
     (Tree.buses tree);
   { value = !best; edge_loads = loads; bus_loads2; bottleneck = !arg }
 
-let evaluate ?exec w t =
+let evaluation ?exec w t =
   congestion_of_edge_loads (Workload.tree w) (edge_loads ?exec w t)
 
-let congestion ?exec w t = (evaluate ?exec w t).value
+let evaluate ?exec w t =
+  let sp = Trace.span "placement.evaluate" in
+  let c = evaluation ?exec w t in
+  Trace.finish sp;
+  c
+
+(* No span: baselines call this once per proposal. *)
+let congestion ?exec w t = (evaluation ?exec w t).value
 
 let total_load w t = Array.fold_left ( + ) 0 (edge_loads w t)
 

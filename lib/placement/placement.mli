@@ -146,10 +146,12 @@ val iter_object_loads : Tree.t -> obj_placement -> (int -> int -> unit) -> unit
     (which is all of them) see identical totals. *)
 
 val evaluate : ?exec:Hbn_exec.Exec.t -> Workload.t -> t -> congestion
-(** Full congestion accounting. *)
+(** Full congestion accounting, inside a [placement.evaluate] trace
+    span. *)
 
 val congestion : ?exec:Hbn_exec.Exec.t -> Workload.t -> t -> float
-(** [= (evaluate w p).value]. *)
+(** [= (evaluate w p).value], without the span: it is the per-proposal
+    call of search loops, where a span would cost more than it shows. *)
 
 val total_load : Workload.t -> t -> int
 (** Sum of all edge loads (the "total communication load" objective the

@@ -412,9 +412,12 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
   outcome
 
 let lower_bound w _placement outcome =
+  let sp = Trace.span "sim.lower_bound" in
   let tree = Workload.tree w in
   let cong =
     (Placement.congestion_of_edge_loads tree outcome.edge_traffic)
       .Placement.value
   in
-  Float.max cong (float_of_int outcome.max_dilation)
+  let lb = Float.max cong (float_of_int outcome.max_dilation) in
+  Trace.finish sp;
+  lb

@@ -32,18 +32,18 @@
 
     [parent] is the id of the enclosing span (0 at top level). An
     [attribution] event reports one cell of a per-edge load-attribution
-    table ({!Attribution}): object [O] contributes [A] absolute load
+    table ({!Hbn_obs.Attribution}): object [O] contributes [A] absolute load
     units to edge [E] through the named component of Section 1.1's load
     definition. A [fault] event reports one injected fault of a
     [Runtime.run] under a fault plan — a dropped message, a node
     crash/restart, or an edge outage opening/closing — with [node] or
     [edge] set to [-1] when not applicable. A [series] event is one
-    point of a {!Telemetry} time series: metric [N] had value [V] over
+    point of a {!Hbn_obs.Telemetry} time series: metric [N] had value [V] over
     the [S] runtime rounds ending at round [R] ([S = 1] for an exact
     per-round sample, [S > 1] after the bounded-memory collector folded
     adjacent rounds together); [edge] names the measured edge for
     per-edge utilization series and is [-1] for network-wide series. An
-    [alert] event is one change-point detection of a {!Monitor}: the
+    [alert] event is one change-point detection of a {!Hbn_obs.Monitor}: the
     detector named [K] (["cusum_up"], ["page_hinkley_down"], ...)
     crossed its threshold on series [S] at round [R] / virtual time [T]
     with detector statistic [M]. *)

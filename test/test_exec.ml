@@ -6,7 +6,7 @@ module Exec = Hbn_exec.Exec
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Strategy = Hbn_core.Strategy
-module Metrics = Hbn_obs.Metrics
+module Trace = Hbn_obs.Trace
 module Sink = Hbn_obs.Sink
 
 exception Boom
@@ -171,22 +171,20 @@ let prop_congestion_matches_across_jobs seed =
 
 let spawn_all n f = List.init n (fun d -> Domain.spawn (fun () -> f d))
 
-let test_metrics_concurrent_incr () =
-  let m = Metrics.create () in
+let test_counters_concurrent_count () =
+  let sink, _ = Sink.memory () in
   let domains = 4 and per_domain = 5_000 in
-  spawn_all domains (fun _ ->
-      for _ = 1 to per_domain do
-        Metrics.incr m "shared";
-        Metrics.observe m "lat" 1.0
-      done)
-  |> List.iter Domain.join;
-  Alcotest.(check int) "no lost increments" (domains * per_domain)
-    (Metrics.counter_value m "shared");
-  match Metrics.histograms m with
-  | [ ("lat", s) ] ->
-    Alcotest.(check int) "no lost samples" (domains * per_domain)
-      s.Metrics.count
-  | _ -> Alcotest.fail "expected exactly the lat histogram"
+  Trace.with_sink sink (fun () ->
+      spawn_all domains (fun _ ->
+          for _ = 1 to per_domain do
+            Trace.count "shared";
+            Trace.count ~by:2 "double"
+          done)
+      |> List.iter Domain.join;
+      Alcotest.(check (list (pair string int)))
+        "no lost increments"
+        [ ("double", 2 * domains * per_domain); ("shared", domains * per_domain) ]
+        (Trace.counters ()))
 
 let test_memory_sink_concurrent_emit () =
   let sink, read = Sink.memory () in
@@ -249,8 +247,8 @@ let suite =
       Helpers.seed_arb prop_bit_identical_across_jobs;
     Helpers.qt ~count:40 "Strategy.congestion identical at jobs 1/2/4"
       Helpers.seed_arb prop_congestion_matches_across_jobs;
-    Helpers.tc "metrics survive concurrent incr/observe"
-      test_metrics_concurrent_incr;
+    Helpers.tc "counters survive concurrent Trace.count"
+      test_counters_concurrent_count;
     Helpers.tc "memory sink survives concurrent emit"
       test_memory_sink_concurrent_emit;
     Helpers.tc "timings sink survives concurrent emit"

@@ -5,12 +5,11 @@
 
 module Trace = Hbn_obs.Trace
 module Sink = Hbn_obs.Sink
-module Metrics = Hbn_obs.Metrics
 module Strategy = Hbn_core.Strategy
 
-let events_of f =
+let events_of ?attribution f =
   let sink, read = Sink.memory () in
-  Trace.with_sink sink f;
+  Trace.with_sink ?attribution sink f;
   read ()
 
 let name_of (ev : Sink.event) = ev.Sink.name
@@ -54,58 +53,36 @@ let test_span_nesting () =
       | _ -> assert false)
     [ "a"; "b"; "c" ]
 
+(* Counters accumulate, read back sorted; gauges keep their last value
+   and reach a sink with the counters only through [emit_totals];
+   installing a sink starts both from empty. *)
 let test_counter_aggregation () =
-  let m = Metrics.create () in
-  Metrics.incr m "x";
-  Metrics.incr ~by:41 m "x";
-  Metrics.incr ~by:7 m "y";
-  Alcotest.(check int) "x total" 42 (Metrics.counter_value m "x");
-  Alcotest.(check int) "y total" 7 (Metrics.counter_value m "y");
-  Alcotest.(check int) "absent is 0" 0 (Metrics.counter_value m "z");
+  let sink, read = Sink.memory () in
+  Trace.set_sink (Some sink);
+  Fun.protect ~finally:(fun () -> Trace.set_sink None) @@ fun () ->
+  Trace.count "x";
+  Trace.count ~by:41 "x";
+  Trace.count ~by:7 "y";
   Alcotest.(check (list (pair string int)))
-    "sorted snapshot" [ ("x", 42); ("y", 7) ] (Metrics.counters m);
-  Metrics.set_gauge m "g" 1.5;
-  Metrics.set_gauge m "g" 2.5;
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "gauge keeps last" [ ("g", 2.5) ] (Metrics.gauges m);
-  List.iter (fun v -> Metrics.observe m "h" v) [ 1.; 2.; 3.; 4. ];
-  (match Metrics.histograms m with
-  | [ ("h", s) ] ->
-    Alcotest.(check int) "h count" 4 s.Metrics.count;
-    Alcotest.(check (float 1e-9)) "h mean" 2.5 s.Metrics.mean;
-    Alcotest.(check (float 1e-9)) "h min" 1. s.Metrics.min;
-    Alcotest.(check (float 1e-9)) "h max" 4. s.Metrics.max
-  | _ -> Alcotest.fail "expected exactly one histogram");
-  Metrics.reset m;
-  Alcotest.(check (list (pair string int))) "reset" [] (Metrics.counters m)
-
-(* Histogram memory is a 512-slot reservoir: quantiles are exact up to
-   the capacity, and count/mean/min/max stay exact (and the summary well
-   inside the observed range) far beyond it. *)
-let test_histogram_reservoir () =
-  let m = Metrics.create () in
-  for i = 1 to 512 do
-    Metrics.observe m "h" (float_of_int i)
-  done;
-  (match Metrics.histograms m with
-  | [ ("h", s) ] ->
-    Alcotest.(check int) "count exact at capacity" 512 s.Metrics.count;
-    Alcotest.(check (float 1e-9)) "median exact at capacity" 256.5 s.Metrics.p50
-  | _ -> Alcotest.fail "expected one histogram");
-  for i = 513 to 20_000 do
-    Metrics.observe m "h" (float_of_int i)
-  done;
-  match Metrics.histograms m with
-  | [ ("h", s) ] ->
-    Alcotest.(check int) "count exact beyond capacity" 20_000 s.Metrics.count;
-    Alcotest.(check (float 1e-6)) "mean exact beyond capacity" 10_000.5
-      s.Metrics.mean;
-    Alcotest.(check (float 1e-9)) "min exact" 1. s.Metrics.min;
-    Alcotest.(check (float 1e-9)) "max exact" 20_000. s.Metrics.max;
-    Alcotest.(check bool) "p50 sampled within range" true
-      (s.Metrics.p50 >= 1. && s.Metrics.p50 <= 20_000.);
-    Alcotest.(check bool) "p95 above p50" true (s.Metrics.p95 >= s.Metrics.p50)
-  | _ -> Alcotest.fail "expected one histogram"
+    "sorted snapshot" [ ("x", 42); ("y", 7) ] (Trace.counters ());
+  Trace.gauge "g" 1.5;
+  Trace.gauge "g" 2.5;
+  let streamed = List.length (read ()) in
+  Trace.emit_totals ();
+  let totals =
+    List.filteri (fun i _ -> i >= streamed) (read ())
+    |> List.map (fun (ev : Sink.event) -> (ev.Sink.name, ev.Sink.payload))
+  in
+  Alcotest.(check bool)
+    "counters then the gauge's last value" true
+    (totals
+    = [
+        ("x", Sink.Counter { value = 42 });
+        ("y", Sink.Counter { value = 7 });
+        ("g", Sink.Gauge { value = 2.5 });
+      ]);
+  Trace.set_sink (Some sink);
+  Alcotest.(check (list (pair string int))) "reset" [] (Trace.counters ())
 
 (* with_attrs decorates every event on the emitting side; explicit
    attributes win on duplicate keys because they come first. *)
@@ -123,33 +100,34 @@ let test_with_attrs_tags_events () =
       (List.assoc "domain" clash.Sink.attrs = Sink.Int 9)
   | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
 
+(* The counters a [with_sink] body sees are its own: they start empty
+   and the enclosing tracer's totals come back when it returns. *)
 let test_trace_count_feeds_global () =
-  Metrics.reset Metrics.global;
   let sink, _ = Sink.memory () in
   Trace.with_sink sink (fun () ->
-      Trace.count "c";
-      Trace.count ~by:4 "c";
-      Trace.gauge "g" 3.25);
-  Alcotest.(check int) "aggregated" 5 (Metrics.counter_value Metrics.global "c");
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "gauge recorded" [ ("g", 3.25) ] (Metrics.gauges Metrics.global);
-  Metrics.reset Metrics.global
+      Trace.count "outer";
+      Trace.with_sink sink (fun () ->
+          Trace.count "c";
+          Trace.count ~by:4 "c";
+          Alcotest.(check (list (pair string int)))
+            "aggregated" [ ("c", 5) ] (Trace.counters ()));
+      Alcotest.(check (list (pair string int)))
+        "outer totals restored" [ ("outer", 1) ] (Trace.counters ()))
 
 let test_disabled_is_inert () =
   Alcotest.(check bool) "tracing off" false (Trace.enabled ());
-  Metrics.reset Metrics.global;
-  (* None of these may touch the global registry or blow up. *)
+  Alcotest.(check bool) "no snapshots" false (Trace.attribution ());
+  (* None of these may record anything or blow up. *)
   let sp = Trace.span "ghost" ~attrs:[ ("k", Sink.Int 1) ] in
   Trace.event "ghost-event";
   Trace.count ~by:100 "ghost-counter";
   Trace.gauge "ghost-gauge" 1.0;
   Trace.finish sp;
   Trace.finish Trace.none;
+  Trace.emit_totals ();
   Trace.flush ();
-  Alcotest.(check int) "no counter recorded" 0
-    (Metrics.counter_value Metrics.global "ghost-counter");
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "no gauge recorded" [] (Metrics.gauges Metrics.global)
+  Alcotest.(check (list (pair string int)))
+    "no counter recorded" [] (Trace.counters ())
 
 (* Exercise every payload kind and every attribute type through the JSONL
    writer and back through the parser. *)
@@ -173,11 +151,20 @@ let test_jsonl_roundtrip () =
       Trace.event "tick" ~attrs:[ ("huge", Sink.Int max_int) ];
       Trace.gauge "depth" 17.25;
       Trace.finish sp ~attrs:[ ("ratio", Sink.Float 1.6180339887498949) ];
-      let m = Metrics.create () in
-      Metrics.incr ~by:9 m "events";
-      List.iter (fun v -> Metrics.observe m "lat" v) [ 0.5; 1.5 ];
-      (* Counter + histogram snapshot events also flow through the codec. *)
-      Metrics.emit m tee;
+      Trace.count ~by:9 "events";
+      (* Counter, gauge and histogram snapshot events also flow through
+         the codec. *)
+      Trace.emit_totals ();
+      Trace.emit
+        {
+          Sink.name = "lat";
+          id = 0;
+          parent = 0;
+          payload =
+            Sink.Histogram
+              { count = 2; mean = 1.; min = 0.5; max = 1.5; p50 = 1.; p95 = 1.5 };
+          attrs = [];
+        };
       Alcotest.(check bool) "tracing on" true (Trace.enabled ());
       Trace.flush ());
   close_out oc;
@@ -336,22 +323,31 @@ let strategy_fingerprint (res : Strategy.result) =
 let prop_tracing_does_not_change_results seed =
   let _, w = Helpers.instance seed in
   let off = Strategy.run w in
-  let sink, _ = Sink.memory () in
-  let on = Trace.with_sink sink (fun () -> Strategy.run w) in
+  let traced attribution =
+    let sink, _ = Sink.memory () in
+    Trace.with_sink ~attribution sink (fun () -> Strategy.run w)
+  in
+  let spans_only = traced false and snapshots = traced true in
   let off2 = Strategy.run w in
-  strategy_fingerprint off = strategy_fingerprint on
-  && strategy_fingerprint off = strategy_fingerprint off2
+  List.for_all
+    (fun r -> strategy_fingerprint r = strategy_fingerprint off)
+    [ spans_only; snapshots; off2 ]
 
-(* The full pipeline trace of an instance that actually needs Step 3:
-   spans for all three steps plus per-round mapping events must appear. *)
-let test_strategy_trace_shape () =
+let find_mapping_instance () =
   let rec find seed =
     let _, w = Helpers.instance seed in
     let res = Strategy.run w in
     if res.Strategy.tau_max > 0 then w else find (seed + 1)
   in
-  let w = find 1 in
-  let events = events_of (fun () -> ignore (Strategy.run w)) in
+  find 1
+
+(* The full pipeline trace of an instance that actually needs Step 3:
+   spans for all three steps plus per-round mapping events must appear. *)
+let test_strategy_trace_shape () =
+  let w = find_mapping_instance () in
+  let events =
+    events_of ~attribution:true (fun () -> ignore (Strategy.run w))
+  in
   let ends name =
     List.exists
       (fun (ev : Sink.event) ->
@@ -386,12 +382,38 @@ let test_strategy_trace_shape () =
     [ "deletion"; "mapping"; "nibble" ]
     phases_seen
 
+(* A sink installed without [~attribution] gets no snapshot, and
+   everything else it sees is what a snapshot-taking sink sees, span ids
+   and parents included, up to durations. *)
+let test_no_snapshots_without_attribution () =
+  let w = find_mapping_instance () in
+  let is_snapshot (ev : Sink.event) =
+    match ev.Sink.payload with Sink.Attribution _ -> true | _ -> false
+  in
+  let masked (ev : Sink.event) =
+    match ev.Sink.payload with
+    | Sink.Span_end _ ->
+      Sink.to_json { ev with Sink.payload = Sink.Span_end { duration_ns = 0L } }
+    | _ -> Sink.to_json ev
+  in
+  let run attribution =
+    events_of ?attribution (fun () -> ignore (Strategy.run w))
+  in
+  let plain = run None and with_snapshots = run (Some true) in
+  Alcotest.(check int) "no attribution events" 0
+    (List.length (List.filter is_snapshot plain));
+  Alcotest.(check bool) "the other run has snapshots" true
+    (List.exists is_snapshot with_snapshots);
+  Alcotest.(check (list string))
+    "same spans and points"
+    (List.map masked
+       (List.filter (fun ev -> not (is_snapshot ev)) with_snapshots))
+    (List.map masked plain)
+
 let suite =
   [
     Helpers.tc "span nesting and durations" test_span_nesting;
     Helpers.tc "counter aggregation" test_counter_aggregation;
-    Helpers.tc "histogram reservoir is bounded and exact in range"
-      test_histogram_reservoir;
     Helpers.tc "with_attrs tags every event" test_with_attrs_tags_events;
     Helpers.tc "Trace.count feeds the global registry" test_trace_count_feeds_global;
     Helpers.tc "disabled tracer is inert" test_disabled_is_inert;
@@ -406,4 +428,6 @@ let suite =
     Helpers.tc "strategy trace has all three steps" test_strategy_trace_shape;
     Helpers.qt ~count:60 "tracing never changes strategy results"
       Helpers.seed_arb prop_tracing_does_not_change_results;
+    Helpers.tc "no attribution snapshots unless asked for"
+      test_no_snapshots_without_attribution;
   ]
